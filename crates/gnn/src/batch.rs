@@ -5,6 +5,11 @@
 //! offset and grouped by relation type (the heterogeneous aggregation of
 //! Eq. 5 processes each relation separately); a `graph_of` map drives
 //! sum pooling back to per-graph embeddings (Eq. 6).
+//!
+//! Every edge group is also *compacted* once per batch: the ascending
+//! list of destination rows that receive at least one edge, and those
+//! rows' summed edge features ([`RelEdges::rows`], [`RelEdges::row_sums`]).
+//! The HEC convolution projects only these rows (see [`crate::model`]).
 
 use pg_graphcon::{PowerGraph, Relation};
 use pg_tensor::Matrix;
@@ -18,9 +23,58 @@ pub struct RelEdges {
     pub dst: Vec<u32>,
     /// Edge features, `E_r × 4`.
     pub feats: Matrix,
+    /// Destination rows with at least one in-edge, ascending.
+    pub rows: Vec<u32>,
+    /// Per-row edge-feature sums, `R × 4`: row `i` adds the features of
+    /// every edge into `rows[i]` in edge order, starting from `0.0` —
+    /// the exact summation [`pg_tensor::Tape::scatter_add`] performs.
+    pub row_sums: Matrix,
 }
 
 impl RelEdges {
+    /// Builds an edge group and its compaction. `slot` is per-batch
+    /// scratch with one `u32::MAX` entry per node; it is restored before
+    /// returning.
+    fn new(src: Vec<u32>, dst: Vec<u32>, feats: Matrix, slot: &mut [u32]) -> Self {
+        const W: usize = PowerGraph::EDGE_FEATS;
+        assert_eq!(feats.cols, W, "edge features must be {W} wide");
+        // Mark the destinations, then number them in ascending node order.
+        let mut distinct = 0;
+        for &d in &dst {
+            let s = &mut slot[d as usize];
+            distinct += usize::from(*s == u32::MAX);
+            *s = 0;
+        }
+        // Branch-free numbering: every node is written at the next free
+        // position, which only advances past marked ones.
+        let mut rows = vec![0u32; distinct + 1];
+        let mut next = 0usize;
+        for (v, s) in slot.iter_mut().enumerate() {
+            let marked = *s != u32::MAX;
+            rows[next] = v as u32;
+            *s = if marked { next as u32 } else { u32::MAX };
+            next += usize::from(marked);
+        }
+        rows.truncate(distinct);
+        let mut sums = vec![[0.0f32; W]; distinct];
+        for (&d, f) in dst.iter().zip(feats.data.chunks_exact(W)) {
+            let out = &mut sums[slot[d as usize] as usize];
+            for (o, &x) in out.iter_mut().zip(f) {
+                *o += x;
+            }
+        }
+        for &d in &rows {
+            slot[d as usize] = u32::MAX;
+        }
+        RelEdges {
+            src,
+            dst,
+            feats,
+            rows,
+            row_sums: Matrix::from_vec(distinct, W, sums.into_flattened()),
+        }
+    }
+
     /// Number of edges.
     pub fn len(&self) -> usize {
         self.src.len()
@@ -105,29 +159,26 @@ impl GraphBatch {
             offset += g.num_nodes as u32;
         }
 
+        let mut slot = vec![u32::MAX; num_nodes];
         let rel: Vec<RelEdges> = rel
             .into_iter()
             .map(|(src, dst, flat)| {
                 let n = src.len();
-                RelEdges {
-                    src,
-                    dst,
-                    feats: Matrix::from_vec(n, 4, flat),
-                }
+                RelEdges::new(src, dst, Matrix::from_vec(n, 4, flat), &mut slot)
             })
             .collect();
 
         // Combined views.
-        let mut all = RelEdges::default();
-        let mut all_flat = Vec::new();
+        let (mut all_src, mut all_dst, mut all_flat) = (Vec::new(), Vec::new(), Vec::new());
         for r in &rel {
-            all.src.extend_from_slice(&r.src);
-            all.dst.extend_from_slice(&r.dst);
+            all_src.extend_from_slice(&r.src);
+            all_dst.extend_from_slice(&r.dst);
             all_flat.extend_from_slice(&r.feats.data);
         }
-        all.feats = Matrix::from_vec(all.src.len(), 4, all_flat);
-        let all_rev = reverse(&all);
-        let rel_rev: Vec<RelEdges> = rel.iter().map(reverse).collect();
+        let all_feats = Matrix::from_vec(all_src.len(), 4, all_flat);
+        let all = RelEdges::new(all_src, all_dst, all_feats, &mut slot);
+        let all_rev = reverse(&all, &mut slot);
+        let rel_rev: Vec<RelEdges> = rel.iter().map(|r| reverse(r, &mut slot)).collect();
 
         // GCN: symmetric normalization over undirected edges + self loops.
         let mut gcn_src: Vec<u32> = Vec::new();
@@ -180,12 +231,9 @@ impl GraphBatch {
     }
 }
 
-fn reverse(r: &RelEdges) -> RelEdges {
-    RelEdges {
-        src: r.dst.clone(),
-        dst: r.src.clone(),
-        feats: r.feats.clone(),
-    }
+/// The group with every edge flipped, compacted by its own destinations.
+fn reverse(r: &RelEdges, slot: &mut [u32]) -> RelEdges {
+    RelEdges::new(r.dst.clone(), r.src.clone(), r.feats.clone(), slot)
 }
 
 #[cfg(test)]
@@ -276,6 +324,104 @@ mod tests {
         assert_eq!(batch.meta.rows, 2);
         assert_eq!(batch.meta.cols, 2);
         assert_eq!(batch.meta.row(1), &[0.0, 0.0]);
+    }
+
+    /// A graph with explicit `(src, dst, relation, features)` edges.
+    fn edge_graph(nodes: usize, edges: &[(u32, u32, Relation, [f32; 4])]) -> PowerGraph {
+        PowerGraph {
+            kernel: "t".into(),
+            design_id: "t".into(),
+            num_nodes: nodes,
+            node_feats: vec![0.0; nodes * PowerGraph::NODE_FEATS],
+            edges: edges.iter().map(|&(s, d, _, _)| (s, d)).collect(),
+            edge_feats: edges.iter().map(|&(_, _, _, f)| f).collect(),
+            edge_rel: edges.iter().map(|&(_, _, r, _)| r).collect(),
+            meta: vec![],
+        }
+    }
+
+    #[test]
+    fn compacted_rows_are_ascending_with_edge_order_sums() {
+        // Destinations arrive out of order: 4, 1, 4, 2.
+        let g = edge_graph(
+            5,
+            &[
+                (0, 4, Relation::AA, [1.0, 2.0, 3.0, 4.0]),
+                (0, 1, Relation::AA, [0.5, 0.5, 0.5, 0.5]),
+                (3, 4, Relation::AA, [0.25, 0.0, 0.0, 1.0]),
+                (1, 2, Relation::AA, [2.0, 0.0, 1.0, 0.0]),
+            ],
+        );
+        let batch = GraphBatch::new(&[&g], &[1.0]);
+        let aa = &batch.rel[Relation::AA.index()];
+        assert_eq!(aa.rows, vec![1, 2, 4]);
+        assert_eq!(aa.row_sums.rows, 3);
+        assert_eq!(aa.row_sums.row(0), &[0.5, 0.5, 0.5, 0.5]);
+        assert_eq!(aa.row_sums.row(1), &[2.0, 0.0, 1.0, 0.0]);
+        assert_eq!(aa.row_sums.row(2), &[1.25, 2.0, 3.0, 5.0]);
+        assert!(aa.rows.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn zero_sum_rows_are_listed_and_isolated_nodes_are_not() {
+        // Node 2's two in-edges cancel exactly; nodes 0, 3 and 4 receive
+        // nothing.
+        let g = edge_graph(
+            5,
+            &[
+                (0, 2, Relation::NA, [1.0, -0.5, 0.0, 2.0]),
+                (1, 2, Relation::NA, [-1.0, 0.5, 0.0, -2.0]),
+                (0, 1, Relation::NA, [0.0, 0.0, 0.0, 0.0]),
+            ],
+        );
+        let batch = GraphBatch::new(&[&g], &[1.0]);
+        let na = &batch.rel[Relation::NA.index()];
+        assert_eq!(na.rows, vec![1, 2]);
+        assert_eq!(na.row_sums.data, vec![0.0; 8]);
+        assert_eq!(batch.all.rows, vec![1, 2]);
+    }
+
+    #[test]
+    fn reversed_groups_compact_by_their_own_destinations() {
+        let g = edge_graph(
+            4,
+            &[
+                (3, 0, Relation::AN, [1.0, 0.0, 0.0, 0.0]),
+                (3, 1, Relation::AN, [0.0, 1.0, 0.0, 0.0]),
+                (2, 1, Relation::NN, [0.0, 0.0, 1.0, 0.0]),
+            ],
+        );
+        let batch = GraphBatch::new(&[&g], &[1.0]);
+        let an = Relation::AN.index();
+        assert_eq!(batch.rel[an].rows, vec![0, 1]);
+        assert_eq!(batch.rel_rev[an].rows, vec![3]);
+        assert_eq!(batch.rel_rev[an].row_sums.data, vec![1.0, 1.0, 0.0, 0.0]);
+        assert_eq!(batch.all.rows, vec![0, 1]);
+        assert_eq!(batch.all_rev.rows, vec![2, 3]);
+        assert_eq!(batch.all_rev.row_sums.row(0), &[0.0, 0.0, 1.0, 0.0]);
+        assert_eq!(batch.all_rev.row_sums.row(1), &[1.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn empty_relations_compact_to_zero_rows() {
+        let a = tiny_graph(4, 0.0); // NA and AN edges only
+        let batch = GraphBatch::new(&[&a], &[1.0]);
+        for group in [
+            &batch.rel[Relation::AA.index()],
+            &batch.rel_rev[Relation::NN.index()],
+        ] {
+            assert!(group.rows.is_empty());
+            assert_eq!((group.row_sums.rows, group.row_sums.cols), (0, 4));
+        }
+    }
+
+    #[test]
+    fn compaction_offsets_rows_across_graphs() {
+        let (a, b) = (tiny_graph(3, 0.0), tiny_graph(3, 1.0));
+        let batch = GraphBatch::new(&[&a, &b], &[1.0, 2.0]);
+        // Chains 0→1→2 and 3→4→5: every node but the chain heads receives.
+        assert_eq!(batch.all.rows, vec![1, 2, 4, 5]);
+        assert_eq!(batch.all_rev.rows, vec![0, 1, 3, 4]);
     }
 
     #[test]

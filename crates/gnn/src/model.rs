@@ -9,9 +9,28 @@
 //! heterogeneity / metadata) reproduce the variants of Table II.
 //!
 //! The HEC-GNN aggregation exploits linearity: `Σ_u W_r W_E e_{u,v,r}` is
-//! computed as `W_r · W_E · Σ_u e_{u,v,r}` — edge features are scatter-added
-//! per relation *before* the two projections, which is mathematically
-//! identical to Eq. 5 and far cheaper.
+//! computed as `W_r · W_E · Σ_u e_{u,v,r}`, which is mathematically
+//! identical to Eq. 5 and far cheaper. The edge-feature sums are built
+//! once per batch and *compacted*: [`GraphBatch::new`] keeps, for every
+//! relation group, only the `R_r` destination rows that receive an edge
+//! ([`RelEdges::rows`], ascending) and their sums
+//! ([`RelEdges::row_sums`], `R_r × 4`). A layer projects those rows —
+//! `R_r×4 · W_E · W_r` — and scatters the result to the `N` node rows,
+//! so the `h × h` relation matmuls and their backward run on `R_r` rows
+//! (typically 20–40% of `N`) instead of all of them.
+//!
+//! Compaction is bit-identical to scatter-adding all `N` rows first.
+//! Each row sum adds the same edges in the same order, from `0.0`, as
+//! `Tape::scatter_add` would. Matmul rows are independent, so a kept row
+//! projects to the same bits either way. The dropped rows are all zero;
+//! their dense projection is `+0.0` (an accumulator that starts at
+//! `+0.0` never becomes `-0.0`), which is exactly what the final
+//! scatter writes there, and no kept entry is `-0.0`, so `0.0 + x`
+//! leaves it unchanged. In backward, with finite gradients, `matmul_tn`
+//! skips (or adds as the identity) the zero rows of its left operand, so
+//! the `W_E` and `W_r` gradients sum the same nonzero terms in the same
+//! ascending row order. `tests/properties.rs` checks the forward value
+//! and every parameter gradient bit for bit against the dense composition.
 
 use crate::batch::{GraphBatch, RelEdges};
 use pg_graphcon::{PowerGraph, Relation};
@@ -261,10 +280,9 @@ impl PowerModel {
             if attention {
                 let (mut wa, mut weh) = (Vec::new(), Vec::new());
                 for k in 0..config.heads {
-                    wa.push(store.register(
-                        &format!("wa{l}_{k}"),
-                        init::glorot(edge_in, 1, &mut rng),
-                    ));
+                    wa.push(
+                        store.register(&format!("wa{l}_{k}"), init::glorot(edge_in, 1, &mut rng)),
+                    );
                     weh.push(store.register(
                         &format!("weh{l}_{k}"),
                         init::glorot(edge_in, h / config.heads, &mut rng),
@@ -321,7 +339,7 @@ impl PowerModel {
     }
 
     fn p(&self, tape: &mut Tape, slot: usize) -> Var {
-        tape.param(slot, self.store.get(slot).clone())
+        tape.param(slot, self.store.get(slot))
     }
 
     /// Forward pass over a batch; returns the `G × 1` normalized-power
@@ -334,7 +352,7 @@ impl PowerModel {
         rng: &mut Rng64,
     ) -> Var {
         let n = batch.num_nodes;
-        let mut x = tape.leaf(batch.node_feats.clone());
+        let mut x = tape.leaf(&batch.node_feats);
         let mut layer_outputs = Vec::with_capacity(self.config.layers);
         for l in 0..self.config.layers {
             let h = match self.config.arch {
@@ -378,7 +396,7 @@ impl PowerModel {
                 "metadata width mismatch: batch has {}, model expects {}",
                 batch.meta.cols, self.config.meta_dim
             );
-            let meta = tape.leaf(batch.meta.clone());
+            let meta = tape.leaf(&batch.meta);
             let mw = self.p(tape, self.slots.meta_w);
             let mb = self.p(tape, self.slots.meta_b);
             let hm = tape.linear_bias_relu(meta, mw, mb);
@@ -429,25 +447,26 @@ impl PowerModel {
             if edges.is_empty() {
                 continue;
             }
-            let agg = if let Some(we) = we {
-                if self.config.use_edge_feats {
-                    // Σ_u e_{u,v,r} first (linearity of Eq. 5), then W_E, W_r.
-                    let ef = tape.leaf(edges.feats.clone());
-                    let summed = tape.scatter_add(ef, &edges.dst, n);
-                    tape.matmul(summed, we)
-                } else {
+            let msg = match we {
+                Some(we) if self.config.use_edge_feats => {
+                    // Linearity of Eq. 5 on the compacted rows: project the
+                    // batch's precomputed Σ_u e_{u,v,r} (one row per
+                    // destination that has in-edges), then scatter to N.
+                    let sums = tape.leaf(&edges.row_sums);
+                    let projected = tape.matmul(sums, we);
+                    let msg = self.relation_proj(tape, projected, l, r);
+                    tape.scatter_add(msg, &edges.rows, n)
+                }
+                Some(we) => {
                     let hs = tape.gather(x, &edges.src);
                     let summed = tape.scatter_add(hs, &edges.dst, n);
-                    tape.matmul(summed, we)
+                    let agg = tape.matmul(summed, we);
+                    self.relation_proj(tape, agg, l, r)
                 }
-            } else {
-                self.attention_agg(tape, x, edges, l, n)
-            };
-            let msg = if self.config.heterogeneous {
-                let wr = self.p(tape, self.slots.wr[l][r]);
-                tape.matmul(agg, wr)
-            } else {
-                agg
+                None => {
+                    let agg = self.attention_agg(tape, x, edges, l, n);
+                    self.relation_proj(tape, agg, l, r)
+                }
             };
             terms.push(msg);
         }
@@ -456,21 +475,25 @@ impl PowerModel {
         tape.add_row_relu(s, b)
     }
 
+    /// Relation `r`'s `W_r` projection in layer `l` (identity when the
+    /// heterogeneity ablation is off).
+    fn relation_proj(&self, tape: &mut Tape, m: Var, l: usize, r: usize) -> Var {
+        if self.config.heterogeneous {
+            let wr = self.p(tape, self.slots.wr[l][r]);
+            tape.matmul(m, wr)
+        } else {
+            m
+        }
+    }
+
     /// Multi-head attention-weighted edge aggregation for one relation
     /// group: per head, edge messages are softmax-weighted per destination
     /// node before the scatter-sum, and head outputs are concatenated back
     /// to the hidden width. Weighting breaks the linearity shortcut of
     /// Eq. 5, so messages are projected after the weighted sum per head.
-    fn attention_agg(
-        &self,
-        tape: &mut Tape,
-        x: Var,
-        edges: &RelEdges,
-        l: usize,
-        n: usize,
-    ) -> Var {
+    fn attention_agg(&self, tape: &mut Tape, x: Var, edges: &RelEdges, l: usize, n: usize) -> Var {
         let ein = if self.config.use_edge_feats {
-            tape.leaf(edges.feats.clone())
+            tape.leaf(&edges.feats)
         } else {
             tape.gather(x, &edges.src)
         };
@@ -546,7 +569,7 @@ impl PowerModel {
             return tape.linear_bias_relu(x, wv, b);
         }
         let hs = tape.gather(x, &batch.all.src);
-        let ef = tape.leaf(batch.all.feats.clone());
+        let ef = tape.leaf(&batch.all.feats);
         let we = self.p(tape, self.slots.we[l]);
         let ep = tape.matmul(ef, we);
         let s = tape.add(hs, ep);

@@ -187,6 +187,11 @@ pub fn train_single(
         .collect();
     let mut shard_tapes: Vec<Tape> = (0..max_shards).map(|_| Tape::new()).collect();
     let mut accum = GradAccum::new(model.store.len());
+    // The validation set never changes: assemble its batch once.
+    let val_graphs: Vec<&PowerGraph> = val.iter().map(|(g, _)| *g).collect();
+    let val_targets: Vec<f64> = val.iter().map(|(_, t)| *t).collect();
+    let val_batch = (!val.is_empty()).then(|| GraphBatch::new(&val_graphs, &val_targets));
+    let mut val_tape = Tape::new();
 
     for epoch in 0..cfg.epochs {
         // step learning-rate decay: x0.5 at 60 % and 85 % of the budget
@@ -267,8 +272,8 @@ pub fn train_single(
             opt.step(&mut model.store, accum.mean_in_place());
         }
 
-        if !val.is_empty() {
-            let val_err = evaluate_model(&model, val);
+        if let Some(vb) = &val_batch {
+            let val_err = mape(&model.predict_prebuilt_in(vb, &mut val_tape), &val_targets);
             let improved = best.as_ref().map(|(b, _)| val_err < *b).unwrap_or(true);
             if improved {
                 best = Some((val_err, model.store.clone()));

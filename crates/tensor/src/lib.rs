@@ -39,8 +39,8 @@
 //! let mut opt = Adam::new(0.05);
 //! for _ in 0..200 {
 //!     let mut tape = Tape::new();
-//!     let x = tape.leaf(Matrix::from_vec(4, 2, vec![1., 0., 0., 1., 1., 1., 0.5, 0.5]));
-//!     let wv = tape.param(w, store.get(w).clone());
+//!     let x = tape.leaf(&Matrix::from_vec(4, 2, vec![1., 0., 0., 1., 1., 1., 0.5, 0.5]));
+//!     let wv = tape.param(w, store.get(w));
 //!     let y = tape.matmul(x, wv);
 //!     let loss = tape.mse_loss(y, &[1.0, 2.0, 3.0, 1.5]);
 //!     let grads = tape.backward(loss);

@@ -324,7 +324,7 @@ mod tests {
         let mut opt = Adam::new(0.1);
         for _ in 0..500 {
             let mut tape = Tape::new();
-            let p = tape.param(w, store.get(w).clone());
+            let p = tape.param(w, store.get(w));
             let loss = tape.mse_loss(p, &[3.0]);
             let grads = tape.backward(loss);
             opt.step(&mut store, &grads);
@@ -353,9 +353,9 @@ mod tests {
         let mut opt = Adam::new(0.05);
         for _ in 0..2000 {
             let mut tape = Tape::new();
-            let x = tape.leaf(Matrix::from_vec(8, 1, xs.clone()));
-            let wv = tape.param(w, store.get(w).clone());
-            let bv = tape.param(b, store.get(b).clone());
+            let x = tape.leaf(&Matrix::from_vec(8, 1, xs.clone()));
+            let wv = tape.param(w, store.get(w));
+            let bv = tape.param(b, store.get(b));
             let xw = tape.matmul(x, wv);
             let pred = tape.add_row(xw, bv);
             let loss = tape.mse_loss(pred, &ys);

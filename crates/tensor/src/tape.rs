@@ -14,7 +14,11 @@
 //!
 //! Tapes recycle their buffers: [`Tape::reset`] returns every node value,
 //! dropout mask, index list and loss-target buffer to internal pools, and
-//! subsequent ops draw from those pools instead of the allocator. A
+//! subsequent ops draw from those pools instead of the allocator. Leaves
+//! and parameters are copied from borrowed matrices into pooled buffers
+//! too, so every buffer `reset` returns was drawn from the pool: the pool
+//! settles at a fixed size after the first steps instead of growing by
+//! one buffer per leaf and parameter every step. A
 //! training loop keeps one long-lived tape per worker and calls `reset`
 //! each step, so steady-state forward/backward passes perform no value
 //! allocations. Reuse never changes results: every op writes its full
@@ -34,8 +38,8 @@
 //! ```
 //! use pg_tensor::{Matrix, Tape};
 //! let mut t = Tape::new();
-//! let x = t.leaf(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
-//! let w = t.param(0, Matrix::from_vec(2, 1, vec![0.5, -0.25]));
+//! let x = t.leaf(&Matrix::from_vec(1, 2, vec![1.0, 2.0]));
+//! let w = t.param(0, &Matrix::from_vec(2, 1, vec![0.5, -0.25]));
 //! let y = t.matmul(x, w);
 //! let loss = t.mse_loss(y, &[1.0]);
 //! let grads = t.backward(loss);
@@ -172,21 +176,24 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    /// Constant leaf (no gradient).
+    /// Constant leaf (no gradient), copied into a pooled buffer.
     ///
     /// Debug builds assert the input is finite — the matmul kernels are
     /// IEEE-faithful, so a NaN entering here poisons everything downstream.
-    pub fn leaf(&mut self, m: Matrix) -> Var {
+    pub fn leaf(&mut self, m: &Matrix) -> Var {
         debug_assert!(m.is_finite(), "non-finite leaf entered the tape");
-        self.push(m, Op::Leaf { param: None })
+        let v = self.pooled_copy(m);
+        self.push(v, Op::Leaf { param: None })
     }
 
-    /// Parameter leaf; `slot` indexes the gradient vector returned by
-    /// [`Tape::backward`]. Debug builds assert the parameter is finite.
-    pub fn param(&mut self, slot: usize, m: Matrix) -> Var {
+    /// Parameter leaf, copied into a pooled buffer; `slot` indexes the
+    /// gradient vector returned by [`Tape::backward`]. Debug builds assert
+    /// the parameter is finite.
+    pub fn param(&mut self, slot: usize, m: &Matrix) -> Var {
         debug_assert!(m.is_finite(), "non-finite parameter entered the tape");
         self.num_params = self.num_params.max(slot + 1);
-        self.push(m, Op::Leaf { param: Some(slot) })
+        let v = self.pooled_copy(m);
+        self.push(v, Op::Leaf { param: Some(slot) })
     }
 
     /// `a · b`.
@@ -499,7 +506,11 @@ impl Tape {
         self.f32_pool.push(maxes);
         self.f32_pool.push(sums);
         let rows = data.len();
-        let v = Matrix { rows, cols: 1, data };
+        let v = Matrix {
+            rows,
+            cols: 1,
+            data,
+        };
         self.push(v, Op::SegmentSoftmax(a, owned_seg))
     }
 
@@ -677,7 +688,7 @@ impl Tape {
                 }
                 Op::Add(a, b) => {
                     let (a, b) = (*a, *b);
-                    let gc = self.clone_grad(&g);
+                    let gc = self.pooled_copy(&g);
                     accumulate(&mut self.f32_pool, &mut grads, a, gc);
                     accumulate(&mut self.f32_pool, &mut grads, b, g);
                 }
@@ -690,7 +701,7 @@ impl Tape {
                 Op::AddN(vars) => {
                     let vars = vars.clone();
                     for v in &vars[1..] {
-                        let gc = self.clone_grad(&g);
+                        let gc = self.pooled_copy(&g);
                         accumulate(&mut self.f32_pool, &mut grads, *v, gc);
                     }
                     accumulate(&mut self.f32_pool, &mut grads, vars[0], g);
@@ -973,8 +984,8 @@ impl Tape {
         out
     }
 
-    /// Pool-backed copy of a gradient matrix.
-    fn clone_grad(&mut self, g: &Matrix) -> Matrix {
+    /// Pool-backed copy of a matrix (leaf values, fanned-out gradients).
+    fn pooled_copy(&mut self, g: &Matrix) -> Matrix {
         let data = copy_f32(&mut self.f32_pool, &g.data);
         Matrix {
             rows: g.rows,
@@ -1031,7 +1042,7 @@ mod tests {
         F: Fn(&mut Tape, Var) -> Var,
     {
         let mut tape = Tape::new();
-        let p = tape.param(0, param.clone());
+        let p = tape.param(0, &param);
         let loss = f(&mut tape, p);
         let grads = tape.backward(loss);
         let analytic = grads[0].as_ref().expect("param grad");
@@ -1041,14 +1052,14 @@ mod tests {
             let mut plus = param.clone();
             plus.data[k] += eps;
             let mut tp = Tape::new();
-            let vp = tp.param(0, plus);
+            let vp = tp.param(0, &plus);
             let lp = f(&mut tp, vp);
             let fp = tp.value(lp).data[0];
 
             let mut minus = param.clone();
             minus.data[k] -= eps;
             let mut tm = Tape::new();
-            let vm = tm.param(0, minus);
+            let vm = tm.param(0, &minus);
             let lm = f(&mut tm, vm);
             let fm = tm.value(lm).data[0];
 
@@ -1065,9 +1076,13 @@ mod tests {
     fn grad_matmul_mse() {
         let w = Matrix::from_vec(2, 2, vec![0.3, -0.2, 0.5, 0.7]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(3, 2, vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7]));
+            let x = t.leaf(&Matrix::from_vec(
+                3,
+                2,
+                vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7],
+            ));
             let h = t.matmul(x, p);
-            let w2 = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let w2 = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(h, w2);
             t.mse_loss(y, &[0.5, -0.2, 0.1])
         });
@@ -1077,7 +1092,7 @@ mod tests {
     fn grad_relu_chain() {
         let w = Matrix::from_vec(2, 1, vec![0.8, -0.6]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
+            let x = t.leaf(&Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
             let h = t.matmul(x, p);
             let r = t.relu(h);
             t.mse_loss(r, &[1.0, 0.0])
@@ -1088,10 +1103,14 @@ mod tests {
     fn grad_linear_bias_relu_weight() {
         let w = Matrix::from_vec(2, 3, vec![0.3, -0.2, 0.5, 0.7, -0.4, 0.1]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(3, 2, vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7]));
-            let b = t.leaf(Matrix::from_vec(1, 3, vec![0.05, -0.1, 0.2]));
+            let x = t.leaf(&Matrix::from_vec(
+                3,
+                2,
+                vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7],
+            ));
+            let b = t.leaf(&Matrix::from_vec(1, 3, vec![0.05, -0.1, 0.2]));
             let h = t.linear_bias_relu(x, p, b);
-            let v = t.leaf(Matrix::from_vec(3, 1, vec![1.0, -0.5, 0.25]));
+            let v = t.leaf(&Matrix::from_vec(3, 1, vec![1.0, -0.5, 0.25]));
             let y = t.matmul(h, v);
             t.mse_loss(y, &[0.5, -0.2, 0.1])
         });
@@ -1101,10 +1120,10 @@ mod tests {
     fn grad_linear_bias_relu_bias() {
         let b = Matrix::from_vec(1, 2, vec![0.15, -0.35]);
         grad_check(b, |t, p| {
-            let x = t.leaf(Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
-            let w = t.leaf(Matrix::from_vec(2, 2, vec![0.6, -0.3, 0.2, 0.9]));
+            let x = t.leaf(&Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
+            let w = t.leaf(&Matrix::from_vec(2, 2, vec![0.6, -0.3, 0.2, 0.9]));
             let h = t.linear_bias_relu(x, w, p);
-            let v = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let v = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(h, v);
             t.mse_loss(y, &[0.3, -0.6])
         });
@@ -1114,14 +1133,14 @@ mod tests {
     fn grad_add_row_relu() {
         let w = Matrix::from_vec(1, 3, vec![0.1, -0.2, 0.3]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(
+            let x = t.leaf(&Matrix::from_vec(
                 2,
                 3,
                 vec![0.4, -0.6, 1.0, -0.2, 0.8, -1.1],
             ));
             let h = t.add_row_relu(x, p);
             let s = t.sum_rows(h);
-            let v = t.leaf(Matrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]));
+            let v = t.leaf(&Matrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[1.0])
         });
@@ -1136,24 +1155,20 @@ mod tests {
         let v = Matrix::from_vec(2, 1, vec![1.0, -0.75]);
 
         let mut fused = Tape::new();
-        let (xf, wf, bf) = (
-            fused.leaf(x.clone()),
-            fused.param(0, w.clone()),
-            fused.param(1, b.clone()),
-        );
+        let (xf, wf, bf) = (fused.leaf(&x), fused.param(0, &w), fused.param(1, &b));
         let hf = fused.linear_bias_relu(xf, wf, bf);
-        let vf = fused.leaf(v.clone());
+        let vf = fused.leaf(&v);
         let yf = fused.matmul(hf, vf);
         let lf = fused.mse_loss(yf, &[1.0, 0.0, -0.5]);
         let fused_val = fused.value(hf).clone();
         let fused_grads = fused.backward(lf);
 
         let mut plain = Tape::new();
-        let (xp, wp, bp) = (plain.leaf(x), plain.param(0, w), plain.param(1, b));
+        let (xp, wp, bp) = (plain.leaf(&x), plain.param(0, &w), plain.param(1, &b));
         let mm = plain.matmul(xp, wp);
         let ar = plain.add_row(mm, bp);
         let hp = plain.relu(ar);
-        let vp = plain.leaf(v);
+        let vp = plain.leaf(&v);
         let yp = plain.matmul(hp, vp);
         let lp = plain.mse_loss(yp, &[1.0, 0.0, -0.5]);
         assert_eq!(fused_val, *plain.value(hp));
@@ -1169,9 +1184,9 @@ mod tests {
         let mut reference: Option<Vec<f32>> = None;
         for _ in 0..3 {
             t.reset();
-            let x = t.leaf(Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
-            let w = t.param(0, Matrix::from_vec(2, 1, vec![0.8, -0.6]));
-            let b = t.param(1, Matrix::from_vec(1, 1, vec![0.1]));
+            let x = t.leaf(&Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
+            let w = t.param(0, &Matrix::from_vec(2, 1, vec![0.8, -0.6]));
+            let b = t.param(1, &Matrix::from_vec(1, 1, vec![0.1]));
             let h = t.linear_bias_relu(x, w, b);
             let loss = t.mse_loss(h, &[1.0, 0.0]);
             let grads = t.backward(loss);
@@ -1192,7 +1207,7 @@ mod tests {
         grad_check(w, |t, p| {
             let g = t.gather(p, &[0, 2, 2, 1]);
             let s = t.scatter_add(g, &[1, 0, 1, 1], 2);
-            let v = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let v = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[0.2, -0.1])
         });
@@ -1204,7 +1219,7 @@ mod tests {
         grad_check(w, |t, p| {
             let s = t.sum_rows(p); // [1,2]
             let c = t.concat_cols(s, s); // [1,4]
-            let v = t.leaf(Matrix::from_vec(4, 1, vec![1.0, 0.5, -0.5, 2.0]));
+            let v = t.leaf(&Matrix::from_vec(4, 1, vec![1.0, 0.5, -0.5, 2.0]));
             let y = t.matmul(c, v);
             t.mse_loss(y, &[0.3])
         });
@@ -1214,11 +1229,11 @@ mod tests {
     fn grad_scale_rows_bias() {
         let w = Matrix::from_vec(1, 3, vec![0.1, -0.2, 0.3]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(2, 3, vec![1.0; 6]));
+            let x = t.leaf(&Matrix::from_vec(2, 3, vec![1.0; 6]));
             let h = t.add_row(x, p);
             let sc = t.scale_rows(h, &[0.5, 2.0]);
             let s = t.sum_rows(sc);
-            let v = t.leaf(Matrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]));
+            let v = t.leaf(&Matrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[1.0])
         });
@@ -1228,7 +1243,7 @@ mod tests {
     fn grad_mape() {
         let w = Matrix::from_vec(1, 1, vec![0.9]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(2, 1, vec![1.0, 2.0]));
+            let x = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, 2.0]));
             let y = t.matmul(x, p);
             t.mape_loss(y, &[1.2, 1.5])
         });
@@ -1242,7 +1257,7 @@ mod tests {
             let b = t.relu(p);
             let s = t.add_n(vec![a, b, p]);
             let sr = t.sum_rows(s);
-            let v = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -2.0]));
+            let v = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -2.0]));
             let y = t.matmul(sr, v);
             t.mse_loss(y, &[0.1])
         });
@@ -1255,7 +1270,7 @@ mod tests {
         let w = Matrix::from_vec(4, 2, vec![0.9, 0.1, 0.2, 0.8, 0.5, -0.4, -0.3, 0.6]);
         grad_check(w, |t, p| {
             let s = t.scatter_max(p, &[0, 1, 0, 1], 2);
-            let v = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let v = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[0.2, -0.1])
         });
@@ -1264,7 +1279,7 @@ mod tests {
     #[test]
     fn scatter_max_routes_ties_to_first_row_and_zeroes_empty_segments() {
         let mut t = Tape::new();
-        let x = t.param(0, Matrix::from_vec(3, 1, vec![2.0, 2.0, 1.0]));
+        let x = t.param(0, &Matrix::from_vec(3, 1, vec![2.0, 2.0, 1.0]));
         // Rows 0 and 1 tie in segment 0; segment 1 is empty.
         let s = t.scatter_max(x, &[0, 0, 0], 2);
         assert_eq!(t.value(s).data, vec![2.0, 0.0]);
@@ -1281,10 +1296,14 @@ mod tests {
         let w = Matrix::from_vec(5, 1, vec![0.4, -0.6, 1.1, 0.2, -0.9]);
         grad_check(w, |t, p| {
             let a = t.segment_softmax(p, &[0, 1, 0, 1, 1], 2);
-            let v = t.leaf(Matrix::from_vec(5, 2, vec![1.0, 0.3, -0.5, 0.8, 0.2, -0.7, 0.6, 0.1, -0.2, 0.9]));
+            let v = t.leaf(&Matrix::from_vec(
+                5,
+                2,
+                vec![1.0, 0.3, -0.5, 0.8, 0.2, -0.7, 0.6, 0.1, -0.2, 0.9],
+            ));
             let wsum = t.mul_col(v, a);
             let s = t.sum_rows(wsum);
-            let u = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let u = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(s, u);
             t.mse_loss(y, &[0.25])
         });
@@ -1293,7 +1312,7 @@ mod tests {
     #[test]
     fn segment_softmax_sums_to_one_per_segment() {
         let mut t = Tape::new();
-        let x = t.leaf(Matrix::from_vec(4, 1, vec![10.0, -3.0, 10.5, 0.0]));
+        let x = t.leaf(&Matrix::from_vec(4, 1, vec![10.0, -3.0, 10.5, 0.0]));
         let y = t.segment_softmax(x, &[1, 0, 1, 0], 2);
         let d = &t.value(y).data;
         assert!((d[1] + d[3] - 1.0).abs() < 1e-6, "segment 0 sums to 1");
@@ -1305,10 +1324,14 @@ mod tests {
     fn grad_mul_col_weights() {
         let w = Matrix::from_vec(3, 1, vec![0.7, -0.2, 1.3]);
         grad_check(w, |t, p| {
-            let a = t.leaf(Matrix::from_vec(3, 2, vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7]));
+            let a = t.leaf(&Matrix::from_vec(
+                3,
+                2,
+                vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7],
+            ));
             let m = t.mul_col(a, p);
             let s = t.sum_rows(m);
-            let v = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -0.5]));
+            let v = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -0.5]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[0.4])
         });
@@ -1318,10 +1341,10 @@ mod tests {
     fn grad_mul_col_matrix() {
         let w = Matrix::from_vec(2, 3, vec![0.3, -0.2, 0.5, 0.7, -0.4, 0.1]);
         grad_check(w, |t, p| {
-            let k = t.leaf(Matrix::from_vec(2, 1, vec![0.6, -1.2]));
+            let k = t.leaf(&Matrix::from_vec(2, 1, vec![0.6, -1.2]));
             let m = t.mul_col(p, k);
             let s = t.sum_rows(m);
-            let v = t.leaf(Matrix::from_vec(3, 1, vec![1.0, 0.5, -0.5]));
+            let v = t.leaf(&Matrix::from_vec(3, 1, vec![1.0, 0.5, -0.5]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[0.1])
         });
@@ -1331,7 +1354,7 @@ mod tests {
     fn dropout_eval_is_identity() {
         let mut rng = Rng64::new(0);
         let mut t = Tape::new();
-        let x = t.leaf(Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
+        let x = t.leaf(&Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
         let d = t.dropout(x, 0.5, false, &mut rng);
         assert_eq!(t.value(d).data, vec![1.0, 2.0, 3.0, 4.0]);
     }
@@ -1340,7 +1363,7 @@ mod tests {
     fn dropout_train_masks_and_scales() {
         let mut rng = Rng64::new(7);
         let mut t = Tape::new();
-        let x = t.leaf(Matrix::from_vec(1, 1000, vec![1.0; 1000]));
+        let x = t.leaf(&Matrix::from_vec(1, 1000, vec![1.0; 1000]));
         let d = t.dropout(x, 0.4, true, &mut rng);
         let kept = t.value(d).data.iter().filter(|&&v| v > 0.0).count();
         assert!((450..750).contains(&kept), "kept {kept}");
@@ -1352,8 +1375,8 @@ mod tests {
     #[test]
     fn unused_params_get_none() {
         let mut t = Tape::new();
-        let p0 = t.param(0, Matrix::scalar(1.0));
-        let _p1 = t.param(1, Matrix::scalar(2.0));
+        let p0 = t.param(0, &Matrix::scalar(1.0));
+        let _p1 = t.param(1, &Matrix::scalar(2.0));
         let loss = t.mse_loss(p0, &[0.0]);
         let grads = t.backward(loss);
         assert!(grads[0].is_some());
@@ -1363,10 +1386,41 @@ mod tests {
     #[test]
     fn shared_param_accumulates() {
         let mut t = Tape::new();
-        let p = t.param(0, Matrix::scalar(3.0));
+        let p = t.param(0, &Matrix::scalar(3.0));
         let s = t.add(p, p); // y = 2p, dy/dp = 2
         let loss = t.mse_loss(s, &[0.0]); // L = (2p)^2, dL/dp = 8p = 24
         let g = t.backward(loss);
         assert!((g[0].as_ref().unwrap().data[0] - 24.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn pool_size_is_steady_across_reset_cycles() {
+        let x = Matrix::from_vec(64, 32, (0..64 * 32).map(|i| (i % 7) as f32).collect());
+        let w = Matrix::from_vec(32, 32, (0..32 * 32).map(|i| (i % 5) as f32 * 0.1).collect());
+        let ones = Matrix::from_vec(32, 1, vec![1.0; 32]);
+        let targets = vec![1.0f32; 64];
+        let mut t = Tape::new();
+        // Forward-only (serving) and forward+backward (training) steps.
+        for backward in [false, true] {
+            let mut sizes = Vec::new();
+            for _ in 0..40 {
+                t.reset();
+                let xv = t.leaf(&x);
+                let wv = t.param(0, &w);
+                let h = t.matmul(xv, wv);
+                let ov = t.leaf(&ones);
+                let y = t.matmul(h, ov);
+                if backward {
+                    let loss = t.mse_loss(y, &targets);
+                    t.backward(loss);
+                }
+                sizes.push((t.f32_pool.len(), t.u32_pool.len()));
+            }
+            let settled = sizes[4];
+            assert!(
+                sizes[4..].iter().all(|&s| s == settled),
+                "pool grew across resets (backward = {backward}): {sizes:?}"
+            );
+        }
     }
 }

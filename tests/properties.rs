@@ -4,11 +4,14 @@ use proptest::prelude::*;
 
 use powergear_repro::activity::{activation_rate, execute, switching_activity, Stimuli};
 use powergear_repro::dse::{adrs, dominates, pareto_frontier, run_dse, DseConfig, Point};
+use powergear_repro::gnn::{GraphBatch, ModelConfig, PowerModel, RelEdges};
 use powergear_repro::graphcon::GraphFlow;
+use powergear_repro::graphcon::{PowerGraph, Relation};
 use powergear_repro::hls::{Directives, FuLibrary, HlsFlow};
 use powergear_repro::ir::expr::{aff, Expr};
 use powergear_repro::ir::{ArrayKind, Kernel, KernelBuilder, Opcode};
-use powergear_repro::tensor::{GradAccum, Matrix, Tape};
+use powergear_repro::tensor::{GradAccum, Matrix, Tape, Var};
+use powergear_repro::util::Rng64;
 
 /// A small random-but-valid kernel family: `y[i] = y[i] + a[i]*x[i] ...`
 /// with parameterized trip count and extra terms.
@@ -176,23 +179,23 @@ proptest! {
         let x = Matrix::from_vec(2, 3, x_vals.clone());
         let f = |wm: Matrix| -> f32 {
             let mut t = Tape::new();
-            let xv = t.leaf(x.clone());
-            let wv = t.param(0, wm);
+            let xv = t.leaf(&x);
+            let wv = t.param(0, &wm);
             let h = t.matmul(xv, wv);
             let r = t.relu(h);
             let s = t.sum_rows(r);
-            let ones = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let ones = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(s, ones);
             let loss = t.mse_loss(y, &[0.3]);
             t.value(loss).data[0]
         };
         let mut t = Tape::new();
-        let xv = t.leaf(x.clone());
-        let wv = t.param(0, w.clone());
+        let xv = t.leaf(&x);
+        let wv = t.param(0, &w);
         let h = t.matmul(xv, wv);
         let r = t.relu(h);
         let s = t.sum_rows(r);
-        let ones = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+        let ones = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
         let y = t.matmul(s, ones);
         let loss = t.mse_loss(y, &[0.3]);
         let grads = t.backward(loss);
@@ -322,5 +325,183 @@ proptest! {
             "sharded mean must equal the per-sample batch mean exactly (shards {:?})",
             sizes
         );
+    }
+}
+
+/// A random batch for the HEC compaction property: 1–3 graphs of 1–8
+/// nodes, each with one extra node that has no edges at all, edges drawn
+/// from a random subset of the four relations (so whole relations are
+/// often empty), and edge features that include all-zero rows and pairs
+/// that cancel exactly at their destination.
+fn random_hec_batch(rng: &mut Rng64) -> (Vec<PowerGraph>, Vec<f64>) {
+    const RELS: [Relation; 4] = [Relation::AA, Relation::AN, Relation::NA, Relation::NN];
+    let graphs = 1 + rng.below(3);
+    let allowed: Vec<Relation> = RELS.into_iter().filter(|_| rng.below(3) > 0).collect();
+    let f = PowerGraph::NODE_FEATS;
+    let mut out = Vec::new();
+    for gi in 0..graphs {
+        let nodes = 2 + rng.below(8); // the last node stays isolated
+        let mut node_feats = vec![0.0f32; nodes * f];
+        for n in 0..nodes {
+            node_feats[n * f + rng.below(5)] = 1.0;
+            node_feats[n * f + 28 + rng.below(6)] = rng.f32();
+        }
+        let (mut edges, mut edge_feats, mut edge_rel) = (Vec::new(), Vec::new(), Vec::new());
+        if !allowed.is_empty() && nodes > 2 {
+            for _ in 0..rng.below(3 * nodes) {
+                let s = rng.below(nodes - 1) as u32;
+                let d = rng.below(nodes - 1) as u32;
+                let rel = allowed[rng.below(allowed.len())];
+                let feats = match rng.below(6) {
+                    0 => [0.0; 4],
+                    1 => {
+                        // A pair that sums to exactly zero at `d`.
+                        let e = [rng.f32(), -rng.f32(), 0.0, rng.f32()];
+                        edges.push((s, d));
+                        edge_feats.push(e);
+                        edge_rel.push(rel);
+                        e.map(|x| -x)
+                    }
+                    _ => [rng.f32(), rng.f32(), rng.f32() * 0.5, rng.f32() * 0.5],
+                };
+                edges.push((s, d));
+                edge_feats.push(feats);
+                edge_rel.push(rel);
+            }
+        }
+        out.push(PowerGraph {
+            kernel: "prop".into(),
+            design_id: format!("prop{gi}"),
+            num_nodes: nodes,
+            node_feats,
+            edges,
+            edge_feats,
+            edge_rel,
+            meta: (0..10).map(|_| rng.f32()).collect(),
+        });
+    }
+    let targets = (0..graphs).map(|_| 0.5 + rng.f32() as f64).collect();
+    (out, targets)
+}
+
+/// The HEC forward with the dense, uncompacted edge aggregation: per
+/// relation group, `scatter_add` of the edge-feature leaf over all N
+/// nodes, then `W_E` and `W_r` on all N rows. Everything else mirrors
+/// `PowerModel::forward` in eval mode for the add-pooled, metadata-on,
+/// attention-free configuration.
+fn dense_hec_forward(model: &PowerModel, batch: &GraphBatch, tape: &mut Tape) -> Var {
+    let cfg = &model.config;
+    let p = |tape: &mut Tape, name: String| {
+        let slot = (0..model.store.len())
+            .find(|&s| model.store.name(s) == name)
+            .expect("registered parameter");
+        tape.param(slot, model.store.get(slot))
+    };
+    let n = batch.num_nodes;
+    let mut x = tape.leaf(&batch.node_feats);
+    let mut outputs = Vec::new();
+    for l in 0..cfg.layers {
+        let wv = p(tape, format!("wv{l}"));
+        let mut terms = vec![tape.matmul(x, wv)];
+        let we = p(tape, format!("we{l}"));
+        let mut groups: Vec<(usize, &RelEdges)> = Vec::new();
+        if cfg.heterogeneous {
+            groups.extend(batch.rel.iter().enumerate());
+            if !cfg.directed {
+                groups.extend(batch.rel_rev.iter().enumerate());
+            }
+        } else {
+            groups.push((0, &batch.all));
+            if !cfg.directed {
+                groups.push((0, &batch.all_rev));
+            }
+        }
+        for (r, edges) in groups {
+            if edges.is_empty() {
+                continue;
+            }
+            let ef = tape.leaf(&edges.feats);
+            let summed = tape.scatter_add(ef, &edges.dst, n);
+            let mut msg = tape.matmul(summed, we);
+            if cfg.heterogeneous {
+                let wr = p(tape, format!("wr{l}_{r}"));
+                msg = tape.matmul(msg, wr);
+            }
+            terms.push(msg);
+        }
+        let sum = tape.add_n(terms);
+        let b = p(tape, format!("b{l}"));
+        x = tape.add_row_relu(sum, b);
+        outputs.push(x);
+    }
+    let pooled = outputs
+        .into_iter()
+        .map(|h| tape.scatter_add(h, &batch.graph_of, batch.num_graphs))
+        .collect();
+    let hg = tape.add_n(pooled);
+    let meta = tape.leaf(&batch.meta);
+    let (mw, mb) = (p(tape, "meta_w".into()), p(tape, "meta_b".into()));
+    let hm = tape.linear_bias_relu(meta, mw, mb);
+    let joint = tape.concat_cols(hg, hm);
+    let (w1, b1) = (p(tape, "head_w1".into()), p(tape, "head_b1".into()));
+    let z1 = tape.linear_bias_relu(joint, w1, b1);
+    let w2 = p(tape, "head_w2".into());
+    let out = tape.matmul(z1, w2);
+    let b2 = p(tape, "head_b2".into());
+    tape.add_row(out, b2)
+}
+
+/// Forward value and every parameter gradient, as bit patterns.
+fn value_and_grad_bits(
+    tape: &mut Tape,
+    pred: Var,
+    targets: &[f32],
+) -> (Vec<u32>, Vec<Option<Vec<u32>>>) {
+    let value = tape.value(pred).data.iter().map(|v| v.to_bits()).collect();
+    let loss = tape.mse_loss(pred, targets);
+    let grads = tape
+        .backward(loss)
+        .into_iter()
+        .map(|g| g.map(|m| m.data.iter().map(|v| v.to_bits()).collect()))
+        .collect();
+    (value, grads)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The HEC layer's compacted edge aggregation (project only the rows
+    /// that receive edges, then scatter to N) is bit-identical to the dense
+    /// composition, in the forward value and in every parameter gradient.
+    #[test]
+    fn compacted_hec_aggregation_matches_dense_reference(seed in any::<u64>(),
+                                                         directed in any::<bool>(),
+                                                         heterogeneous in any::<bool>()) {
+        let mut rng = Rng64::new(seed);
+        let (graphs, targets) = random_hec_batch(&mut rng);
+        let refs: Vec<&PowerGraph> = graphs.iter().collect();
+        let batch = GraphBatch::new(&refs, &targets);
+        let mut cfg = ModelConfig::hec(8).with_layers(2);
+        cfg.directed = directed;
+        cfg.heterogeneous = heterogeneous;
+        let mut model = PowerModel::new(cfg, seed);
+        // Nonzero biases and perturbed weights: a trained-looking model.
+        for s in 0..model.store.len() {
+            for w in &mut model.store.get_mut(s).data {
+                *w += 0.2 * (rng.f32() - 0.5);
+            }
+        }
+
+        let mut tape = Tape::new();
+        let pred = model.forward(&mut tape, &batch, false, &mut Rng64::new(0));
+        let got = value_and_grad_bits(&mut tape, pred, &batch.targets);
+        let mut tape = Tape::new();
+        let pred = dense_hec_forward(&model, &batch, &mut tape);
+        let want = value_and_grad_bits(&mut tape, pred, &batch.targets);
+        prop_assert_eq!(&got.0, &want.0, "forward differs (directed {}, heterogeneous {})", directed, heterogeneous);
+        prop_assert_eq!(got.1.len(), want.1.len());
+        for (slot, (g, w)) in got.1.iter().zip(&want.1).enumerate() {
+            prop_assert_eq!(g, w, "gradient of `{}` differs", model.store.name(slot));
+        }
     }
 }

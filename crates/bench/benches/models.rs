@@ -7,7 +7,7 @@ use pg_datasets::{build_kernel_dataset, polybench, DatasetConfig, PowerTarget};
 use pg_gnn::{Arch, GraphBatch, ModelConfig, PowerModel};
 use pg_graphcon::PowerGraph;
 use pg_hlpow::HlPowModel;
-use pg_tensor::Tape;
+use pg_tensor::{Exec, Tape};
 use pg_util::Rng64;
 
 fn dataset_graphs() -> (Vec<PowerGraph>, Vec<f64>) {

@@ -35,7 +35,7 @@ pub mod eval;
 
 use pg_activity::{execute, Stimuli};
 use pg_datasets::{HlsCache, KernelDataset, PowerTarget};
-use pg_gnn::{Ensemble, InferenceEngine, ModelConfig, ServeConfig, TrainConfig};
+use pg_gnn::{map_batches, Ensemble, ModelConfig, ServeConfig, TrainConfig};
 use pg_graphcon::{GraphFlow, PowerGraph};
 use pg_hls::{Directives, HlsError, HlsReport};
 use pg_ir::Kernel;
@@ -257,10 +257,13 @@ impl PowerGear {
         graphs: &[&PowerGraph],
         serve: &ServeConfig,
     ) -> Vec<(f64, f64)> {
-        let total = InferenceEngine::with_config(&self.total_model, serve.clone()).predict(graphs);
-        let dynamic =
-            InferenceEngine::with_config(&self.dynamic_model, serve.clone()).predict(graphs);
-        total.into_iter().zip(dynamic).collect()
+        // One batch per chunk feeds both target ensembles.
+        let (preds, _) = map_batches(graphs, serve, |batch| {
+            let total = self.total_model.predict_batch(batch);
+            let dynamic = self.dynamic_model.predict_batch(batch);
+            total.into_iter().zip(dynamic).collect()
+        });
+        preds
     }
 
     /// Estimates a whole set of design points of one kernel: each

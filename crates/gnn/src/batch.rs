@@ -27,7 +27,7 @@ pub struct RelEdges {
     pub rows: Vec<u32>,
     /// Per-row edge-feature sums, `R × 4`: row `i` adds the features of
     /// every edge into `rows[i]` in edge order, starting from `0.0` —
-    /// the exact summation [`pg_tensor::Tape::scatter_add`] performs.
+    /// the exact summation [`pg_tensor::Exec::scatter_add`] performs.
     pub row_sums: Matrix,
 }
 

@@ -39,7 +39,7 @@ pub use ablation::{table2_variants, zoo_variants, Variant};
 pub use admission::{AdmissionQueue, BatchPolicy};
 pub use batch::{GraphBatch, RelEdges};
 pub use model::{Arch, ModelConfig, Pool, PowerModel};
-pub use serve::{InferenceEngine, ServeConfig, ServeStats};
+pub use serve::{map_batches, InferenceEngine, ServeConfig, ServeStats};
 pub use train::{
     evaluate_model, train_ensemble, train_ensemble_with, train_single, Ensemble, LabelNorm,
     MemberTrained, TrainConfig,

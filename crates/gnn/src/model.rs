@@ -21,20 +21,20 @@
 //!
 //! Compaction is bit-identical to scatter-adding all `N` rows first.
 //! Each row sum adds the same edges in the same order, from `0.0`, as
-//! `Tape::scatter_add` would. Matmul rows are independent, so a kept row
+//! `Exec::scatter_add` would. Matmul rows are independent, so a kept row
 //! projects to the same bits either way. The dropped rows are all zero;
 //! their dense projection is `+0.0` (an accumulator that starts at
 //! `+0.0` never becomes `-0.0`), which is exactly what the final
 //! scatter writes there, and no kept entry is `-0.0`, so `0.0 + x`
-//! leaves it unchanged. In backward, with finite gradients, `matmul_tn`
-//! skips (or adds as the identity) the zero rows of its left operand, so
-//! the `W_E` and `W_r` gradients sum the same nonzero terms in the same
-//! ascending row order. `tests/properties.rs` checks the forward value
+//! leaves it unchanged. In backward, with finite gradients, the zero rows
+//! of `matmul_tn`'s left operand add `±0.0` products, which leave every
+//! sum unchanged, so the `W_E` and `W_r` gradients sum the same nonzero
+//! terms in the same ascending row order. `tests/properties.rs` checks the forward value
 //! and every parameter gradient bit for bit against the dense composition.
 
 use crate::batch::{GraphBatch, RelEdges};
 use pg_graphcon::{PowerGraph, Relation};
-use pg_tensor::{init, Matrix, ParamStore, Tape, Var};
+use pg_tensor::{init, Eval, Exec, Matrix, ParamStore, Tape, Var};
 use pg_util::Rng64;
 
 /// Convolution architecture.
@@ -338,31 +338,32 @@ impl PowerModel {
         }
     }
 
-    fn p(&self, tape: &mut Tape, slot: usize) -> Var {
-        tape.param(slot, self.store.get(slot))
+    fn p<'a, E: Exec<'a>>(&'a self, ex: &mut E, slot: usize) -> Var {
+        ex.param(slot, self.store.get(slot))
     }
 
-    /// Forward pass over a batch; returns the `G × 1` normalized-power
+    /// Forward pass over a batch on any executor — a [`Tape`] to train, an
+    /// [`Eval`] to predict; returns the `G × 1` normalized-power
     /// prediction node.
-    pub fn forward(
-        &self,
-        tape: &mut Tape,
-        batch: &GraphBatch,
+    pub fn forward<'a, E: Exec<'a>>(
+        &'a self,
+        ex: &mut E,
+        batch: &'a GraphBatch,
         train: bool,
         rng: &mut Rng64,
     ) -> Var {
         let n = batch.num_nodes;
-        let mut x = tape.leaf(&batch.node_feats);
+        let mut x = ex.leaf(&batch.node_feats);
         let mut layer_outputs = Vec::with_capacity(self.config.layers);
         for l in 0..self.config.layers {
             let h = match self.config.arch {
-                Arch::Hec => self.hec_layer(tape, batch, x, l, n),
-                Arch::Gcn => self.gcn_layer(tape, batch, x, l, n),
-                Arch::Sage => self.sage_layer(tape, batch, x, l, n),
-                Arch::GraphConv => self.graphconv_layer(tape, batch, x, l, n),
-                Arch::Gine => self.gine_layer(tape, batch, x, l, n),
+                Arch::Hec => self.hec_layer(ex, batch, x, l, n),
+                Arch::Gcn => self.gcn_layer(ex, batch, x, l, n),
+                Arch::Sage => self.sage_layer(ex, batch, x, l, n),
+                Arch::GraphConv => self.graphconv_layer(ex, batch, x, l, n),
+                Arch::Gine => self.gine_layer(ex, batch, x, l, n),
             };
-            let h = tape.dropout(h, self.config.dropout, train, rng);
+            let h = ex.dropout(h, self.config.dropout, train, rng);
             layer_outputs.push(h);
             x = h;
         }
@@ -380,15 +381,15 @@ impl PowerModel {
         let pooled: Vec<Var> = layer_outputs
             .into_iter()
             .map(|h| match self.config.pool {
-                Pool::Add => tape.scatter_add(h, &batch.graph_of, batch.num_graphs),
+                Pool::Add => ex.scatter_add(h, &batch.graph_of, batch.num_graphs),
                 Pool::Mean => {
-                    let s = tape.scatter_add(h, &batch.graph_of, batch.num_graphs);
-                    tape.scale_rows(s, &inv_counts)
+                    let s = ex.scatter_add(h, &batch.graph_of, batch.num_graphs);
+                    ex.scale_rows(s, &inv_counts)
                 }
-                Pool::Max => tape.scatter_max(h, &batch.graph_of, batch.num_graphs),
+                Pool::Max => ex.scatter_max(h, &batch.graph_of, batch.num_graphs),
             })
             .collect();
-        let hg = tape.add_n(pooled);
+        let hg = ex.add_n(pooled);
         // Eq. 7: optional metadata embedding, then the regression head.
         let joint = if self.config.use_metadata {
             assert_eq!(
@@ -396,21 +397,21 @@ impl PowerModel {
                 "metadata width mismatch: batch has {}, model expects {}",
                 batch.meta.cols, self.config.meta_dim
             );
-            let meta = tape.leaf(&batch.meta);
-            let mw = self.p(tape, self.slots.meta_w);
-            let mb = self.p(tape, self.slots.meta_b);
-            let hm = tape.linear_bias_relu(meta, mw, mb);
-            tape.concat_cols(hg, hm)
+            let meta = ex.leaf(&batch.meta);
+            let mw = self.p(ex, self.slots.meta_w);
+            let mb = self.p(ex, self.slots.meta_b);
+            let hm = ex.linear_bias_relu(meta, mw, mb);
+            ex.concat_cols(hg, hm)
         } else {
             hg
         };
-        let w1 = self.p(tape, self.slots.head_w1);
-        let b1 = self.p(tape, self.slots.head_b1);
-        let z1r = tape.linear_bias_relu(joint, w1, b1);
-        let w2 = self.p(tape, self.slots.head_w2);
-        let b2 = self.p(tape, self.slots.head_b2);
-        let out = tape.matmul(z1r, w2);
-        tape.add_row(out, b2)
+        let w1 = self.p(ex, self.slots.head_w1);
+        let b1 = self.p(ex, self.slots.head_b1);
+        let z1r = ex.linear_bias_relu(joint, w1, b1);
+        let w2 = self.p(ex, self.slots.head_w2);
+        let b2 = self.p(ex, self.slots.head_b2);
+        let out = ex.matmul(z1r, w2);
+        ex.add_row(out, b2)
     }
 
     /// Relation groups the HEC layer aggregates over, honoring the
@@ -435,11 +436,18 @@ impl PowerModel {
         groups
     }
 
-    fn hec_layer(&self, tape: &mut Tape, batch: &GraphBatch, x: Var, l: usize, n: usize) -> Var {
-        let wv = self.p(tape, self.slots.wv[l]);
-        let mut terms = vec![tape.matmul(x, wv)];
+    fn hec_layer<'a, E: Exec<'a>>(
+        &'a self,
+        ex: &mut E,
+        batch: &'a GraphBatch,
+        x: Var,
+        l: usize,
+        n: usize,
+    ) -> Var {
+        let wv = self.p(ex, self.slots.wv[l]);
+        let mut terms = vec![ex.matmul(x, wv)];
         let we = if self.config.heads == 0 {
-            Some(self.p(tape, self.slots.we[l]))
+            Some(self.p(ex, self.slots.we[l]))
         } else {
             None // attention path projects per head instead
         };
@@ -452,35 +460,35 @@ impl PowerModel {
                     // Linearity of Eq. 5 on the compacted rows: project the
                     // batch's precomputed Σ_u e_{u,v,r} (one row per
                     // destination that has in-edges), then scatter to N.
-                    let sums = tape.leaf(&edges.row_sums);
-                    let projected = tape.matmul(sums, we);
-                    let msg = self.relation_proj(tape, projected, l, r);
-                    tape.scatter_add(msg, &edges.rows, n)
+                    let sums = ex.leaf(&edges.row_sums);
+                    let projected = ex.matmul(sums, we);
+                    let msg = self.relation_proj(ex, projected, l, r);
+                    ex.scatter_add(msg, &edges.rows, n)
                 }
                 Some(we) => {
-                    let hs = tape.gather(x, &edges.src);
-                    let summed = tape.scatter_add(hs, &edges.dst, n);
-                    let agg = tape.matmul(summed, we);
-                    self.relation_proj(tape, agg, l, r)
+                    let hs = ex.gather(x, &edges.src);
+                    let summed = ex.scatter_add(hs, &edges.dst, n);
+                    let agg = ex.matmul(summed, we);
+                    self.relation_proj(ex, agg, l, r)
                 }
                 None => {
-                    let agg = self.attention_agg(tape, x, edges, l, n);
-                    self.relation_proj(tape, agg, l, r)
+                    let agg = self.attention_agg(ex, x, edges, l, n);
+                    self.relation_proj(ex, agg, l, r)
                 }
             };
             terms.push(msg);
         }
-        let s = tape.add_n(terms);
-        let b = self.p(tape, self.slots.bias[l]);
-        tape.add_row_relu(s, b)
+        let s = ex.add_n(terms);
+        let b = self.p(ex, self.slots.bias[l]);
+        ex.add_row_relu(s, b)
     }
 
     /// Relation `r`'s `W_r` projection in layer `l` (identity when the
     /// heterogeneity ablation is off).
-    fn relation_proj(&self, tape: &mut Tape, m: Var, l: usize, r: usize) -> Var {
+    fn relation_proj<'a, E: Exec<'a>>(&'a self, ex: &mut E, m: Var, l: usize, r: usize) -> Var {
         if self.config.heterogeneous {
-            let wr = self.p(tape, self.slots.wr[l][r]);
-            tape.matmul(m, wr)
+            let wr = self.p(ex, self.slots.wr[l][r]);
+            ex.matmul(m, wr)
         } else {
             m
         }
@@ -491,56 +499,77 @@ impl PowerModel {
     /// node before the scatter-sum, and head outputs are concatenated back
     /// to the hidden width. Weighting breaks the linearity shortcut of
     /// Eq. 5, so messages are projected after the weighted sum per head.
-    fn attention_agg(&self, tape: &mut Tape, x: Var, edges: &RelEdges, l: usize, n: usize) -> Var {
+    fn attention_agg<'a, E: Exec<'a>>(
+        &'a self,
+        ex: &mut E,
+        x: Var,
+        edges: &'a RelEdges,
+        l: usize,
+        n: usize,
+    ) -> Var {
         let ein = if self.config.use_edge_feats {
-            tape.leaf(&edges.feats)
+            ex.leaf(&edges.feats)
         } else {
-            tape.gather(x, &edges.src)
+            ex.gather(x, &edges.src)
         };
         let mut acc: Option<Var> = None;
         for k in 0..self.config.heads {
-            let wa = self.p(tape, self.slots.wa[l][k]);
-            let score = tape.matmul(ein, wa);
-            let alpha = tape.segment_softmax(score, &edges.dst, n);
-            let weighted = tape.mul_col(ein, alpha);
-            let summed = tape.scatter_add(weighted, &edges.dst, n);
-            let weh = self.p(tape, self.slots.weh[l][k]);
-            let head = tape.matmul(summed, weh);
+            let wa = self.p(ex, self.slots.wa[l][k]);
+            let score = ex.matmul(ein, wa);
+            let alpha = ex.segment_softmax(score, &edges.dst, n);
+            let weighted = ex.mul_col(ein, alpha);
+            let summed = ex.scatter_add(weighted, &edges.dst, n);
+            let weh = self.p(ex, self.slots.weh[l][k]);
+            let head = ex.matmul(summed, weh);
             acc = Some(match acc {
                 None => head,
-                Some(prev) => tape.concat_cols(prev, head),
+                Some(prev) => ex.concat_cols(prev, head),
             });
         }
         acc.expect("heads > 0 on the attention path")
     }
 
-    fn gcn_layer(&self, tape: &mut Tape, batch: &GraphBatch, x: Var, l: usize, n: usize) -> Var {
-        let hs = tape.gather(x, &batch.gcn_src);
-        let hw = tape.scale_rows(hs, &batch.gcn_coeff);
-        let agg = tape.scatter_add(hw, &batch.gcn_dst, n);
-        let wv = self.p(tape, self.slots.wv[l]);
-        let b = self.p(tape, self.slots.bias[l]);
-        tape.linear_bias_relu(agg, wv, b)
+    fn gcn_layer<'a, E: Exec<'a>>(
+        &'a self,
+        ex: &mut E,
+        batch: &'a GraphBatch,
+        x: Var,
+        l: usize,
+        n: usize,
+    ) -> Var {
+        let hs = ex.gather(x, &batch.gcn_src);
+        let hw = ex.scale_rows(hs, &batch.gcn_coeff);
+        let agg = ex.scatter_add(hw, &batch.gcn_dst, n);
+        let wv = self.p(ex, self.slots.wv[l]);
+        let b = self.p(ex, self.slots.bias[l]);
+        ex.linear_bias_relu(agg, wv, b)
     }
 
-    fn sage_layer(&self, tape: &mut Tape, batch: &GraphBatch, x: Var, l: usize, n: usize) -> Var {
+    fn sage_layer<'a, E: Exec<'a>>(
+        &'a self,
+        ex: &mut E,
+        batch: &'a GraphBatch,
+        x: Var,
+        l: usize,
+        n: usize,
+    ) -> Var {
         let inv_deg: Vec<f32> = batch.in_degree.iter().map(|&d| 1.0 / d.max(1.0)).collect();
-        let hs = tape.gather(x, &batch.all.src);
-        let agg = tape.scatter_add(hs, &batch.all.dst, n);
-        let mean = tape.scale_rows(agg, &inv_deg);
-        let wv = self.p(tape, self.slots.wv[l]);
-        let w2 = self.p(tape, self.slots.w2[l]);
-        let self_term = tape.matmul(x, wv);
-        let neigh_term = tape.matmul(mean, w2);
-        let s = tape.add(self_term, neigh_term);
-        let b = self.p(tape, self.slots.bias[l]);
-        tape.add_row_relu(s, b)
+        let hs = ex.gather(x, &batch.all.src);
+        let agg = ex.scatter_add(hs, &batch.all.dst, n);
+        let mean = ex.scale_rows(agg, &inv_deg);
+        let wv = self.p(ex, self.slots.wv[l]);
+        let w2 = self.p(ex, self.slots.w2[l]);
+        let self_term = ex.matmul(x, wv);
+        let neigh_term = ex.matmul(mean, w2);
+        let s = ex.add(self_term, neigh_term);
+        let b = self.p(ex, self.slots.bias[l]);
+        ex.add_row_relu(s, b)
     }
 
-    fn graphconv_layer(
-        &self,
-        tape: &mut Tape,
-        batch: &GraphBatch,
+    fn graphconv_layer<'a, E: Exec<'a>>(
+        &'a self,
+        ex: &mut E,
+        batch: &'a GraphBatch,
         x: Var,
         l: usize,
         n: usize,
@@ -550,37 +579,39 @@ impl PowerModel {
         let ew: Vec<f32> = (0..batch.all.len())
             .map(|e| batch.all.feats.row(e).iter().sum::<f32>() / 4.0)
             .collect();
-        let hs = tape.gather(x, &batch.all.src);
-        let hw = tape.scale_rows(hs, &ew);
-        let agg = tape.scatter_add(hw, &batch.all.dst, n);
-        let wv = self.p(tape, self.slots.wv[l]);
-        let w2 = self.p(tape, self.slots.w2[l]);
-        let self_term = tape.matmul(x, wv);
-        let neigh_term = tape.matmul(agg, w2);
-        let s = tape.add(self_term, neigh_term);
-        let b = self.p(tape, self.slots.bias[l]);
-        tape.add_row_relu(s, b)
+        let hs = ex.gather(x, &batch.all.src);
+        let hw = ex.scale_rows(hs, &ew);
+        let agg = ex.scatter_add(hw, &batch.all.dst, n);
+        let wv = self.p(ex, self.slots.wv[l]);
+        let w2 = self.p(ex, self.slots.w2[l]);
+        let self_term = ex.matmul(x, wv);
+        let neigh_term = ex.matmul(agg, w2);
+        let s = ex.add(self_term, neigh_term);
+        let b = self.p(ex, self.slots.bias[l]);
+        ex.add_row_relu(s, b)
     }
 
-    fn gine_layer(&self, tape: &mut Tape, batch: &GraphBatch, x: Var, l: usize, n: usize) -> Var {
-        if batch.all.is_empty() {
-            let wv = self.p(tape, self.slots.wv[l]);
-            let b = self.p(tape, self.slots.bias[l]);
-            return tape.linear_bias_relu(x, wv, b);
-        }
-        let hs = tape.gather(x, &batch.all.src);
-        let ef = tape.leaf(&batch.all.feats);
-        let we = self.p(tape, self.slots.we[l]);
-        let ep = tape.matmul(ef, we);
-        let s = tape.add(hs, ep);
-        let r = tape.relu(s);
-        let agg = tape.scatter_add(r, &batch.all.dst, n);
-        let tot = tape.add(x, agg); // ε = 0
-        let wv = self.p(tape, self.slots.wv[l]);
-        let b = self.p(tape, self.slots.bias[l]);
-        let m1r = tape.linear_bias_relu(tot, wv, b);
-        let w3 = self.p(tape, self.slots.w3[l]);
-        tape.matmul(m1r, w3)
+    fn gine_layer<'a, E: Exec<'a>>(
+        &'a self,
+        ex: &mut E,
+        batch: &'a GraphBatch,
+        x: Var,
+        l: usize,
+        n: usize,
+    ) -> Var {
+        let hs = ex.gather(x, &batch.all.src);
+        let ef = ex.leaf(&batch.all.feats);
+        let we = self.p(ex, self.slots.we[l]);
+        let ep = ex.matmul(ef, we);
+        let s = ex.add(hs, ep);
+        let r = ex.relu(s);
+        let agg = ex.scatter_add(r, &batch.all.dst, n);
+        let tot = ex.add(x, agg); // ε = 0
+        let wv = self.p(ex, self.slots.wv[l]);
+        let b = self.p(ex, self.slots.bias[l]);
+        let m1r = ex.linear_bias_relu(tot, wv, b);
+        let w3 = self.p(ex, self.slots.w3[l]);
+        ex.matmul(m1r, w3)
     }
 
     /// One training step's loss and gradients for a batch.
@@ -627,29 +658,39 @@ impl PowerModel {
     /// Predicts absolute power for a set of graphs (eval mode).
     pub fn predict(&self, graphs: &[&PowerGraph]) -> Vec<f64> {
         let targets = vec![0.0; graphs.len()];
-        let batch = GraphBatch::new(graphs, &targets);
-        self.predict_prebuilt(&batch)
+        self.predict_batch(&GraphBatch::new(graphs, &targets))
     }
 
-    /// Predicts on an already-assembled batch (lets ensembles share one
-    /// batch across members). Power is strictly positive, so raw network
-    /// outputs are floored at 1 mW.
-    pub fn predict_prebuilt(&self, batch: &GraphBatch) -> Vec<f64> {
-        let mut tape = Tape::new();
-        self.predict_prebuilt_in(batch, &mut tape)
-    }
-
-    /// [`PowerModel::predict_prebuilt`] recording onto a caller-owned tape
-    /// (reset first), so serving workers can reuse one tape per shard.
-    pub fn predict_prebuilt_in(&self, batch: &GraphBatch, tape: &mut Tape) -> Vec<f64> {
-        tape.reset();
-        let mut rng = Rng64::new(0);
-        let pred = self.forward(tape, batch, false, &mut rng);
-        tape.value(pred)
+    /// Predicts absolute power on an assembled batch. This is the one
+    /// inference path — ensembles, the serving engine and training's
+    /// validation all land here — and it runs [`PowerModel::forward`] on
+    /// a tape-free [`Eval`].
+    ///
+    /// Power is strictly positive, so finite outputs are floored at 1 mW.
+    /// Non-finite outputs pass through unchanged, so a NaN can never pose
+    /// as a plausible wattage, and each one is counted in
+    /// `engine_nonfinite_predictions_total`.
+    pub fn predict_batch(&self, batch: &GraphBatch) -> Vec<f64> {
+        let mut ev = Eval::new();
+        let pred = self.forward(&mut ev, batch, false, &mut Rng64::new(0));
+        let watts: Vec<f64> = ev
+            .value(pred)
             .data
             .iter()
-            .map(|&v| ((v * self.target_scale + self.target_shift) as f64).max(1e-3))
-            .collect()
+            .map(|&v| {
+                let w = (v * self.target_scale + self.target_shift) as f64;
+                if w.is_finite() {
+                    w.max(1e-3)
+                } else {
+                    w
+                }
+            })
+            .collect();
+        let nonfinite = watts.iter().filter(|w| !w.is_finite()).count();
+        if nonfinite > 0 {
+            pg_util::metrics::counter("engine_nonfinite_predictions_total").add(nonfinite as u64);
+        }
+        watts
     }
 }
 
@@ -868,6 +909,25 @@ mod tests {
         let preds = model.predict(&refs);
         assert!((preds[0] - 0.5).abs() < 0.15, "pred {:?}", preds);
         assert!((preds[1] - 2.0).abs() < 0.3, "pred {:?}", preds);
+    }
+
+    #[test]
+    fn nan_output_passes_through_and_is_counted() {
+        let graphs: Vec<PowerGraph> = (0..3).map(tiny_graph).collect();
+        let refs: Vec<&PowerGraph> = graphs.iter().collect();
+        let mut model = PowerModel::new(ModelConfig::hec(16), 1);
+        let finite = model.predict(&refs);
+        assert!(finite.iter().all(|w| w.is_finite() && *w >= 1e-3));
+        let nonfinite = || {
+            pg_util::metrics::snapshot()
+                .counter_value("engine_nonfinite_predictions_total", &[])
+                .unwrap_or(0)
+        };
+        let before = nonfinite();
+        model.store.get_mut(model.slots.head_b2).data[0] = f32::NAN;
+        let preds = model.predict(&refs);
+        assert!(preds.iter().all(|w| w.is_nan()), "{preds:?}");
+        assert!(nonfinite() >= before + 3);
     }
 
     #[test]

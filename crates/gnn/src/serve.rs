@@ -2,19 +2,23 @@
 //!
 //! PowerGear's DSE loop (§IV-C) calls the power model once per candidate
 //! design point; [`Ensemble::predict`] assembles one batch and walks every
-//! member sequentially. [`InferenceEngine`] is the throughput layer on top:
-//! it groups the input graphs into [`crate::GraphBatch`]es of a
-//! configurable size,
+//! member sequentially. [`map_batches`] is the throughput layer on top: it
+//! groups the input graphs into [`GraphBatch`]es of a configurable size,
 //! shards the batches across worker threads with `std::thread::scope`
 //! (mirroring the data-parallel training loop in `train`), and returns the
-//! predictions in input order.
+//! outputs in input order. Each batch is assembled once, however many
+//! ensembles read it: `PowerGear` predicts total and dynamic power from
+//! the same batch. [`InferenceEngine`] is `map_batches` over one ensemble.
 //!
+//! Every batch runs through [`Ensemble::predict_batch`], the same tape-free
+//! evaluator every other prediction uses, so there is one inference path.
 //! Every per-graph computation in the forward pass — row-wise matmuls,
 //! per-destination scatter adds over a graph's own contiguous nodes and
 //! edges, element-wise activations — is independent of which other graphs
 //! share the batch, so the engine's output is **bit-identical** to the
 //! sequential path for any batch size and thread count (enforced by the
-//! workspace's parity property test).
+//! workspace's parity property test). Evaluator arenas are per thread: a
+//! caller that serves request after request from one thread reuses them.
 //!
 //! # Examples
 //!
@@ -26,6 +30,7 @@
 //! let watts = engine.predict(&graphs);
 //! ```
 
+use crate::batch::GraphBatch;
 use crate::train::Ensemble;
 use pg_graphcon::PowerGraph;
 // pg-lint: allow(wall_clock, reason = "import only; the single use site is the telemetry timer annotated below")
@@ -34,8 +39,7 @@ use std::time::Instant;
 /// Batching/parallelism knobs for [`InferenceEngine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Graphs grouped into one [`crate::GraphBatch`] (tensor-op
-    /// granularity).
+    /// Graphs grouped into one [`GraphBatch`] (tensor-op granularity).
     pub batch_size: usize,
     /// Worker threads batches are sharded across (1 = sequential).
     pub threads: usize,
@@ -74,7 +78,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Counters from one [`InferenceEngine::predict_with_stats`] call.
+/// Counters from one [`map_batches`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeStats {
     /// Graphs served.
@@ -137,51 +141,67 @@ impl<'a> InferenceEngine<'a> {
 
     /// [`InferenceEngine::predict`] plus serving counters.
     pub fn predict_with_stats(&self, graphs: &[&PowerGraph]) -> (Vec<f64>, ServeStats) {
-        // pg-lint: allow(wall_clock, reason = "serving telemetry (ServeStats.seconds); never feeds model math or artifacts")
-        let t0 = Instant::now();
-        if graphs.is_empty() {
-            return (
-                Vec::new(),
-                ServeStats {
-                    graphs: 0,
-                    batches: 0,
-                    threads_used: 0,
-                    seconds: t0.elapsed().as_secs_f64(),
-                },
-            );
+        assert!(
+            graphs.is_empty() || !self.ensemble.models.is_empty(),
+            "empty ensemble"
+        );
+        map_batches(graphs, &self.config, |batch| {
+            self.ensemble.predict_batch(batch)
+        })
+    }
+}
+
+/// Runs `per_batch` over `graphs` grouped into [`GraphBatch`]es of
+/// `config.batch_size`, sharded across up to `config.threads` workers.
+/// `per_batch` returns one output per graph of its batch; the outputs come
+/// back in input order, with serving counters.
+pub fn map_batches<T: Send>(
+    graphs: &[&PowerGraph],
+    config: &ServeConfig,
+    per_batch: impl Fn(&GraphBatch) -> Vec<T> + Sync,
+) -> (Vec<T>, ServeStats) {
+    // pg-lint: allow(wall_clock, reason = "serving telemetry (ServeStats.seconds); never feeds model math or artifacts")
+    let t0 = Instant::now();
+    let batches: Vec<&[&PowerGraph]> = graphs.chunks(config.batch_size.max(1)).collect();
+    // Contiguous shards of the batch list preserve input order when
+    // worker outputs are concatenated back in spawn order; the actual
+    // worker count is ceil(batches / shard), which can be below
+    // `threads` when the shards don't divide evenly.
+    let shard = batches.len().div_ceil(config.threads.max(1)).max(1);
+    let workers = batches.len().div_ceil(shard);
+    let run = |group: &[&[&PowerGraph]]| -> Vec<T> {
+        let mut out = Vec::new();
+        for chunk in group {
+            let targets = vec![0.0; chunk.len()];
+            out.extend(per_batch(&GraphBatch::new(chunk, &targets)));
         }
-        assert!(!self.ensemble.models.is_empty(), "empty ensemble");
-        let batches: Vec<&[&PowerGraph]> = graphs.chunks(self.config.batch_size.max(1)).collect();
-        let threads = self.config.threads.max(1).min(batches.len());
-        // Contiguous shards of the batch list preserve input order when
-        // worker outputs are concatenated back in spawn order; the actual
-        // worker count is ceil(batches / shard), which can be below
-        // `threads` when the shards don't divide evenly.
-        let shard = batches.len().div_ceil(threads);
-        let workers = batches.len().div_ceil(shard);
+        out
+    };
 
-        let per_batch: Vec<Vec<f64>> = if workers == 1 {
-            self.predict_shard(&batches)
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = batches
-                    .chunks(shard)
-                    .map(|group| scope.spawn(move || self.predict_shard(group)))
-                    .collect();
-                handles
-                    .into_iter()
-                    // pg-lint: allow(panic_path, reason = "a panicked worker holds no recoverable state; swallowing the join error would silently drop a shard of predictions")
-                    .flat_map(|h| h.join().expect("inference worker panicked"))
-                    .collect()
-            })
-        };
+    let outputs: Vec<T> = if workers <= 1 {
+        run(&batches)
+    } else {
+        std::thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = batches
+                .chunks(shard)
+                .map(|group| scope.spawn(move || run(group)))
+                .collect();
+            handles
+                .into_iter()
+                // pg-lint: allow(panic_path, reason = "a panicked worker holds no recoverable state; swallowing the join error would silently drop a shard of predictions")
+                .flat_map(|h| h.join().expect("inference worker panicked"))
+                .collect()
+        })
+    };
 
-        let stats = ServeStats {
-            graphs: graphs.len(),
-            batches: batches.len(),
-            threads_used: workers,
-            seconds: t0.elapsed().as_secs_f64(),
-        };
+    let stats = ServeStats {
+        graphs: graphs.len(),
+        batches: batches.len(),
+        threads_used: workers,
+        seconds: t0.elapsed().as_secs_f64(),
+    };
+    if stats.graphs > 0 {
         pg_util::metrics::counter("engine_batches_total").add(stats.batches as u64);
         pg_util::metrics::counter("engine_graphs_total").add(stats.graphs as u64);
         pg_util::metrics::histogram(
@@ -189,21 +209,8 @@ impl<'a> InferenceEngine<'a> {
             pg_util::metrics::buckets::LATENCY_US,
         )
         .observe((stats.seconds * 1e6) as u64);
-        (per_batch.into_iter().flatten().collect(), stats)
     }
-
-    /// One worker's batches through the sequential path, sharing a single
-    /// tape whose arenas are reused across batches and ensemble members.
-    /// Delegating to [`Ensemble::predict_in`] makes the bit-identity
-    /// contract hold by construction (the engine only changes batch
-    /// composition, scheduling, and buffer reuse — never the arithmetic).
-    fn predict_shard(&self, group: &[&[&PowerGraph]]) -> Vec<Vec<f64>> {
-        let mut tape = pg_tensor::Tape::new();
-        group
-            .iter()
-            .map(|b| self.ensemble.predict_in(b, &mut tape))
-            .collect()
-    }
+    (outputs, stats)
 }
 
 impl Ensemble {

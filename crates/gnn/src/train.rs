@@ -111,20 +111,18 @@ pub struct Ensemble {
 impl Ensemble {
     /// Mean prediction across members (the batch is assembled once).
     pub fn predict(&self, graphs: &[&PowerGraph]) -> Vec<f64> {
-        let mut tape = Tape::new();
-        self.predict_in(graphs, &mut tape)
+        let targets = vec![0.0; graphs.len()];
+        self.predict_batch(&GraphBatch::new(graphs, &targets))
     }
 
-    /// [`Ensemble::predict`] recording onto a caller-owned tape, so serving
-    /// workers can reuse one tape's arenas across batches and members.
-    /// Output is bit-identical to [`Ensemble::predict`].
-    pub fn predict_in(&self, graphs: &[&PowerGraph], tape: &mut Tape) -> Vec<f64> {
+    /// Mean member prediction on an assembled batch, so callers that
+    /// serve several ensembles (the total and dynamic power heads) build
+    /// each batch once. Every member runs [`PowerModel::predict_batch`].
+    pub fn predict_batch(&self, batch: &GraphBatch) -> Vec<f64> {
         assert!(!self.models.is_empty(), "empty ensemble");
-        let targets = vec![0.0; graphs.len()];
-        let batch = GraphBatch::new(graphs, &targets);
-        let mut acc = vec![0.0f64; graphs.len()];
+        let mut acc = vec![0.0f64; batch.num_graphs];
         for m in &self.models {
-            for (a, p) in acc.iter_mut().zip(m.predict_prebuilt_in(&batch, tape)) {
+            for (a, p) in acc.iter_mut().zip(m.predict_batch(batch)) {
                 *a += p;
             }
         }
@@ -191,7 +189,6 @@ pub fn train_single(
     let val_graphs: Vec<&PowerGraph> = val.iter().map(|(g, _)| *g).collect();
     let val_targets: Vec<f64> = val.iter().map(|(_, t)| *t).collect();
     let val_batch = (!val.is_empty()).then(|| GraphBatch::new(&val_graphs, &val_targets));
-    let mut val_tape = Tape::new();
 
     for epoch in 0..cfg.epochs {
         // step learning-rate decay: x0.5 at 60 % and 85 % of the budget
@@ -273,7 +270,7 @@ pub fn train_single(
         }
 
         if let Some(vb) = &val_batch {
-            let val_err = mape(&model.predict_prebuilt_in(vb, &mut val_tape), &val_targets);
+            let val_err = mape(&model.predict_batch(vb), &val_targets);
             let improved = best.as_ref().map(|(b, _)| val_err < *b).unwrap_or(true);
             if improved {
                 best = Some((val_err, model.store.clone()));

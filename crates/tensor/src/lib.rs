@@ -10,13 +10,16 @@
 //!   fixed k-ascending order — results are bit-identical across runs,
 //!   call sites and thread counts (contract in the [`matrix`] module
 //!   docs);
+//! * [`Exec`] — the forward op set a model is written against, run by
+//!   two executors: [`Tape`] records it for backward, [`Eval`] runs it
+//!   with no recording on borrowed leaves and parameters (inference);
 //! * [`Tape`] — reverse-mode autodiff over matmul / bias / ReLU / dropout /
 //!   concat / sum-pool / **gather & scatter-add rows** (the message-passing
 //!   primitives) / row scaling, plus fused `linear_bias_relu` /
 //!   `add_row_relu` nodes for the convolution hot path, with MAPE and MSE
 //!   losses. [`Tape::reset`] recycles node, value and gradient buffers
-//!   into arenas, so steady-state training and serving loops allocate
-//!   nothing per step;
+//!   into arenas, so steady-state training loops allocate nothing per
+//!   step (and [`Eval`] does the same for serving);
 //! * [`Adam`], [`ParamStore`], [`GradAccum`] — optimization and
 //!   sample-weighted data-parallel gradient accumulation (shard merges
 //!   weight each shard by its sample count, so uneven shards average
@@ -30,7 +33,7 @@
 //! # Examples
 //!
 //! ```
-//! use pg_tensor::{init, Adam, Matrix, ParamStore, Tape};
+//! use pg_tensor::{init, Adam, Exec, Matrix, ParamStore, Tape};
 //! use pg_util::Rng64;
 //!
 //! let mut rng = Rng64::new(0);
@@ -49,11 +52,13 @@
 //! assert!(store.get(w).is_finite());
 //! ```
 
+mod exec;
 pub mod init;
 pub mod matrix;
 pub mod optim;
 pub mod tape;
 
+pub use exec::{Eval, Exec, Var};
 pub use matrix::Matrix;
 pub use optim::{Adam, GradAccum, ParamStore};
-pub use tape::{Tape, Var};
+pub use tape::Tape;

@@ -244,6 +244,7 @@ impl Adam {
 mod tests {
     use super::*;
     use crate::tape::Tape;
+    use crate::Exec;
 
     #[test]
     fn store_roundtrip() {

@@ -1,12 +1,14 @@
 //! Reverse-mode automatic differentiation on matrices.
 //!
 //! A [`Tape`] records a computation graph of matrix ops; [`Tape::backward`]
-//! walks it in reverse, producing gradients for every parameter leaf. The op
-//! set is exactly what the GNN models need: matmul, broadcast bias, ReLU,
-//! dropout, column concatenation, row summation, row gather/scatter (the
-//! message-passing primitives), per-row scaling (normalized adjacency), and
-//! two fused ops — [`Tape::linear_bias_relu`] (`relu(x·W + b)`) and
-//! [`Tape::add_row_relu`] (`relu(a + b)`) — that collapse the per-layer
+//! walks it in reverse, producing gradients for every parameter leaf. The
+//! forward ops are the [`Exec`] trait's, shared with the tape-free
+//! [`crate::Eval`]; the tape adds row summation, scaling and the two
+//! losses. The op set is exactly what the GNN models need: matmul,
+//! broadcast bias, ReLU, dropout, column concatenation, row summation,
+//! row gather/scatter (the message-passing primitives), per-row scaling
+//! (normalized adjacency), and two fused ops — [`Exec::linear_bias_relu`] (`relu(x·W + b)`) and
+//! [`Exec::add_row_relu`] (`relu(a + b)`) — that collapse the per-layer
 //! `matmul → add_row → relu` chain into one node without materializing the
 //! intermediates.
 //!
@@ -29,14 +31,14 @@
 //! The matmul kernels in [`crate::matrix`] are dense and IEEE-faithful —
 //! NaN/Inf propagate instead of being masked by sparsity short-circuits.
 //! To catch poisoned inputs at the boundary where data enters the graph,
-//! [`Tape::leaf`] and [`Tape::param`] `debug_assert` that the incoming
-//! matrix is finite, and [`Tape::backward`] asserts the loss value is
+//! the tape's [`Exec::leaf`] and [`Exec::param`] `debug_assert` that the
+//! incoming matrix is finite, and [`Tape::backward`] asserts the loss value is
 //! finite in debug builds.
 //!
 //! # Examples
 //!
 //! ```
-//! use pg_tensor::{Matrix, Tape};
+//! use pg_tensor::{Exec, Matrix, Tape};
 //! let mut t = Tape::new();
 //! let x = t.leaf(&Matrix::from_vec(1, 2, vec![1.0, 2.0]));
 //! let w = t.param(0, &Matrix::from_vec(2, 1, vec![0.5, -0.25]));
@@ -46,45 +48,8 @@
 //! assert!(grads[0].is_some());
 //! ```
 
+use crate::exec::{copy_f32, take_f32, Exec, Op, Pool, Var};
 use crate::matrix::Matrix;
-use pg_util::Rng64;
-
-/// Handle to a tape node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Var(usize);
-
-#[derive(Debug, Clone)]
-enum Op {
-    Leaf {
-        param: Option<usize>,
-    },
-    MatMul(Var, Var),
-    Add(Var, Var),
-    AddRow(Var, Var),
-    AddN(Vec<Var>),
-    Relu(Var),
-    /// `relu(a · w + bias)` in one node (no intermediate materialization).
-    LinearBiasRelu(Var, Var, Var),
-    /// `relu(a + bias)` in one node, for pre-summed layer inputs.
-    AddRowRelu(Var, Var),
-    /// An empty mask means identity (eval mode) — no per-element buffer.
-    Dropout(Var, Vec<f32>),
-    ConcatCols(Var, Var),
-    SumRows(Var),
-    Gather(Var, Vec<u32>),
-    ScatterAdd(Var, Vec<u32>),
-    ScaleRows(Var, Vec<f32>),
-    Scale(Var, f32),
-    MapeLoss(Var, Vec<f32>),
-    MseLoss(Var, Vec<f32>),
-    /// Segment max with argmax routing: second index buffer records, per
-    /// output element, the winning input row (`u32::MAX` = empty segment).
-    ScatterMax(Var, Vec<u32>, Vec<u32>),
-    /// Per-segment softmax over a single-column input.
-    SegmentSoftmax(Var, Vec<u32>),
-    /// Row-broadcast product: `out[r][c] = a[r][c] * w[r][0]`.
-    MulCol(Var, Var),
-}
 
 #[derive(Debug, Clone)]
 struct Node {
@@ -97,42 +62,7 @@ struct Node {
 pub struct Tape {
     nodes: Vec<Node>,
     num_params: usize,
-    /// Recycled `f32` buffers (node values, masks, loss targets).
-    f32_pool: Vec<Vec<f32>>,
-    /// Recycled index buffers (gather/scatter).
-    u32_pool: Vec<Vec<u32>>,
-}
-
-/// Pops a buffer from `pool` (or allocates) and resizes it to `len` zeros.
-fn take_f32(pool: &mut Vec<Vec<f32>>, len: usize) -> Vec<f32> {
-    let mut b = pool.pop().unwrap_or_default();
-    b.clear();
-    b.resize(len, 0.0);
-    b
-}
-
-/// Pops a buffer from `pool` (or allocates) and copies `src` into it.
-fn copy_f32(pool: &mut Vec<Vec<f32>>, src: &[f32]) -> Vec<f32> {
-    let mut b = pool.pop().unwrap_or_default();
-    b.clear();
-    b.extend_from_slice(src);
-    b
-}
-
-fn copy_u32(pool: &mut Vec<Vec<u32>>, src: &[u32]) -> Vec<u32> {
-    let mut b = pool.pop().unwrap_or_default();
-    b.clear();
-    b.extend_from_slice(src);
-    b
-}
-
-/// Pops a buffer from `pool` (or allocates) and resizes it to `len` copies
-/// of `fill`.
-fn take_u32(pool: &mut Vec<Vec<u32>>, len: usize, fill: u32) -> Vec<u32> {
-    let mut b = pool.pop().unwrap_or_default();
-    b.clear();
-    b.resize(len, fill);
-    b
+    pool: Pool,
 }
 
 impl Tape {
@@ -147,260 +77,16 @@ impl Tape {
     /// that subsequent ops allocate from the pools.
     pub fn reset(&mut self) {
         for node in self.nodes.drain(..) {
-            self.f32_pool.push(node.value.data);
-            match node.op {
-                Op::Dropout(_, m)
-                | Op::ScaleRows(_, m)
-                | Op::MapeLoss(_, m)
-                | Op::MseLoss(_, m) => self.f32_pool.push(m),
-                Op::Gather(_, i) | Op::ScatterAdd(_, i) | Op::SegmentSoftmax(_, i) => {
-                    self.u32_pool.push(i)
-                }
-                Op::ScatterMax(_, i, am) => {
-                    self.u32_pool.push(i);
-                    self.u32_pool.push(am);
-                }
-                _ => {}
-            }
+            self.pool.f32s.push(node.value.data);
+            self.pool.recycle(node.op);
         }
         self.num_params = 0;
-    }
-
-    fn push(&mut self, value: Matrix, op: Op) -> Var {
-        self.nodes.push(Node { value, op });
-        Var(self.nodes.len() - 1)
-    }
-
-    /// Value of a node.
-    pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
-    }
-
-    /// Constant leaf (no gradient), copied into a pooled buffer.
-    ///
-    /// Debug builds assert the input is finite — the matmul kernels are
-    /// IEEE-faithful, so a NaN entering here poisons everything downstream.
-    pub fn leaf(&mut self, m: &Matrix) -> Var {
-        debug_assert!(m.is_finite(), "non-finite leaf entered the tape");
-        let v = self.pooled_copy(m);
-        self.push(v, Op::Leaf { param: None })
-    }
-
-    /// Parameter leaf, copied into a pooled buffer; `slot` indexes the
-    /// gradient vector returned by [`Tape::backward`]. Debug builds assert
-    /// the parameter is finite.
-    pub fn param(&mut self, slot: usize, m: &Matrix) -> Var {
-        debug_assert!(m.is_finite(), "non-finite parameter entered the tape");
-        self.num_params = self.num_params.max(slot + 1);
-        let v = self.pooled_copy(m);
-        self.push(v, Op::Leaf { param: Some(slot) })
-    }
-
-    /// `a · b`.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let (rows, cols) = (self.nodes[a.0].value.rows, self.nodes[b.0].value.cols);
-        let mut out = Matrix {
-            rows: 0,
-            cols: 0,
-            data: take_f32(&mut self.f32_pool, rows * cols),
-        };
-        self.nodes[a.0]
-            .value
-            .matmul_into(&self.nodes[b.0].value, &mut out);
-        self.push(out, Op::MatMul(a, b))
-    }
-
-    /// Elementwise `a + b` (same shape).
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let mut data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let av = &self.nodes[a.0].value;
-        let mut v = Matrix {
-            rows: av.rows,
-            cols: av.cols,
-            data: std::mem::take(&mut data),
-        };
-        v.add_assign(&self.nodes[b.0].value);
-        self.push(v, Op::Add(a, b))
-    }
-
-    /// Broadcast add of a `1 × d` row vector to every row of `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 × a.cols`.
-    pub fn add_row(&mut self, a: Var, bias: Var) -> Var {
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let av = &self.nodes[a.0].value;
-        let b = &self.nodes[bias.0].value;
-        assert_eq!(b.rows, 1, "bias must be a row vector");
-        assert_eq!(b.cols, av.cols, "bias width mismatch");
-        let mut v = Matrix {
-            rows: av.rows,
-            cols: av.cols,
-            data,
-        };
-        for r in 0..v.rows {
-            for (x, &bv) in v.row_mut(r).iter_mut().zip(&b.data) {
-                *x += bv;
-            }
-        }
-        self.push(v, Op::AddRow(a, bias))
-    }
-
-    /// Sum of several same-shape nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vars` is empty or shapes differ.
-    pub fn add_n(&mut self, vars: Vec<Var>) -> Var {
-        assert!(!vars.is_empty(), "add_n needs at least one input");
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[vars[0].0].value.data);
-        let first = &self.nodes[vars[0].0].value;
-        let mut v = Matrix {
-            rows: first.rows,
-            cols: first.cols,
-            data,
-        };
-        for x in &vars[1..] {
-            v.add_assign(&self.nodes[x.0].value);
-        }
-        self.push(v, Op::AddN(vars))
-    }
-
-    /// Elementwise ReLU.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let av = &self.nodes[a.0].value;
-        let mut v = Matrix {
-            rows: av.rows,
-            cols: av.cols,
-            data,
-        };
-        for x in &mut v.data {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
-        }
-        self.push(v, Op::Relu(a))
-    }
-
-    /// Fused `relu(a · w + bias)`: the per-layer `matmul → add_row → relu`
-    /// chain as a single node, materializing only the final activation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch or if `bias` is not `1 × w.cols`.
-    pub fn linear_bias_relu(&mut self, a: Var, w: Var, bias: Var) -> Var {
-        let (rows, cols) = (self.nodes[a.0].value.rows, self.nodes[w.0].value.cols);
-        let b = &self.nodes[bias.0].value;
-        assert_eq!(b.rows, 1, "bias must be a row vector");
-        assert_eq!(b.cols, cols, "bias width mismatch");
-        let mut out = Matrix {
-            rows: 0,
-            cols: 0,
-            data: take_f32(&mut self.f32_pool, rows * cols),
-        };
-        self.nodes[a.0]
-            .value
-            .matmul_into(&self.nodes[w.0].value, &mut out);
-        let bdata = &self.nodes[bias.0].value.data;
-        for r in 0..rows {
-            for (x, &bv) in out.row_mut(r).iter_mut().zip(bdata) {
-                let z = *x + bv;
-                *x = if z > 0.0 { z } else { 0.0 };
-            }
-        }
-        self.push(out, Op::LinearBiasRelu(a, w, bias))
-    }
-
-    /// Fused `relu(a + bias)` for layers whose pre-activation is already
-    /// summed (HEC/SAGE/GraphConv aggregation outputs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 × a.cols`.
-    pub fn add_row_relu(&mut self, a: Var, bias: Var) -> Var {
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let av = &self.nodes[a.0].value;
-        let b = &self.nodes[bias.0].value;
-        assert_eq!(b.rows, 1, "bias must be a row vector");
-        assert_eq!(b.cols, av.cols, "bias width mismatch");
-        let mut v = Matrix {
-            rows: av.rows,
-            cols: av.cols,
-            data,
-        };
-        for r in 0..v.rows {
-            for (x, &bv) in v.row_mut(r).iter_mut().zip(&b.data) {
-                let z = *x + bv;
-                *x = if z > 0.0 { z } else { 0.0 };
-            }
-        }
-        self.push(v, Op::AddRowRelu(a, bias))
-    }
-
-    /// Inverted dropout with keep-probability `1 - p`; pass `train = false`
-    /// for identity.
-    pub fn dropout(&mut self, a: Var, p: f32, train: bool, rng: &mut Rng64) -> Var {
-        if !train || p <= 0.0 {
-            let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-            let av = &self.nodes[a.0].value;
-            let v = Matrix {
-                rows: av.rows,
-                cols: av.cols,
-                data,
-            };
-            // Empty mask = identity; avoids an n-element buffer per call.
-            return self.push(v, Op::Dropout(a, Vec::new()));
-        }
-        let keep = 1.0 - p;
-        let n = self.nodes[a.0].value.len();
-        let mut mask = take_f32(&mut self.f32_pool, n);
-        for m in &mut mask {
-            *m = if rng.f32() < keep { 1.0 / keep } else { 0.0 };
-        }
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let av = &self.nodes[a.0].value;
-        let mut v = Matrix {
-            rows: av.rows,
-            cols: av.cols,
-            data,
-        };
-        for (x, m) in v.data.iter_mut().zip(&mask) {
-            *x *= m;
-        }
-        self.push(v, Op::Dropout(a, mask))
-    }
-
-    /// Concatenates columns: `[a | b]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts differ.
-    pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let (rows, ca, cb) = {
-            let (ma, mb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-            assert_eq!(ma.rows, mb.rows, "concat_cols row mismatch");
-            (ma.rows, ma.cols, mb.cols)
-        };
-        let data = take_f32(&mut self.f32_pool, rows * (ca + cb));
-        let (ma, mb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        let mut v = Matrix {
-            rows,
-            cols: ca + cb,
-            data,
-        };
-        for r in 0..rows {
-            v.row_mut(r)[..ca].copy_from_slice(ma.row(r));
-            v.row_mut(r)[ca..].copy_from_slice(mb.row(r));
-        }
-        self.push(v, Op::ConcatCols(a, b))
     }
 
     /// Column-wise sum over rows: `[n, d] → [1, d]`.
     pub fn sum_rows(&mut self, a: Var) -> Var {
         let cols = self.nodes[a.0].value.cols;
-        let data = take_f32(&mut self.f32_pool, cols);
+        let data = take_f32(&mut self.pool.f32s, cols);
         let m = &self.nodes[a.0].value;
         let mut v = Matrix {
             rows: 1,
@@ -412,166 +98,14 @@ impl Tape {
                 *o += x;
             }
         }
-        self.push(v, Op::SumRows(a))
-    }
-
-    /// Gathers rows: `out[i] = a[idx[i]]`.
-    pub fn gather(&mut self, a: Var, idx: &[u32]) -> Var {
-        let cols = self.nodes[a.0].value.cols;
-        let data = take_f32(&mut self.f32_pool, idx.len() * cols);
-        let owned_idx = copy_u32(&mut self.u32_pool, idx);
-        let m = &self.nodes[a.0].value;
-        let mut v = Matrix {
-            rows: idx.len(),
-            cols,
-            data,
-        };
-        for (i, &j) in idx.iter().enumerate() {
-            v.row_mut(i).copy_from_slice(m.row(j as usize));
-        }
-        self.push(v, Op::Gather(a, owned_idx))
-    }
-
-    /// Scatter-add rows: `out[idx[i]] += a[i]`, `out` has `rows` rows.
-    pub fn scatter_add(&mut self, a: Var, idx: &[u32], rows: usize) -> Var {
-        let cols = self.nodes[a.0].value.cols;
-        let data = take_f32(&mut self.f32_pool, rows * cols);
-        let owned_idx = copy_u32(&mut self.u32_pool, idx);
-        let m = &self.nodes[a.0].value;
-        let mut v = Matrix { rows, cols, data };
-        for (i, &j) in idx.iter().enumerate() {
-            let dst = v.row_mut(j as usize);
-            for (o, &x) in dst.iter_mut().zip(m.row(i)) {
-                *o += x;
-            }
-        }
-        self.push(v, Op::ScatterAdd(a, owned_idx))
-    }
-
-    /// Scatter-max rows: `out[idx[i]] = max(out[idx[i]], a[i])` per column,
-    /// with `out` having `rows` rows. Empty segments yield `0.0` and pass
-    /// no gradient. Ties route the gradient to the first contributing row
-    /// (strict `>` comparison), so results are order-deterministic.
-    pub fn scatter_max(&mut self, a: Var, idx: &[u32], rows: usize) -> Var {
-        let cols = self.nodes[a.0].value.cols;
-        let data = take_f32(&mut self.f32_pool, rows * cols);
-        let owned_idx = copy_u32(&mut self.u32_pool, idx);
-        let mut argmax = take_u32(&mut self.u32_pool, rows * cols, u32::MAX);
-        let m = &self.nodes[a.0].value;
-        let mut v = Matrix { rows, cols, data };
-        for (i, &j) in idx.iter().enumerate() {
-            let src = m.row(i);
-            let dst = v.row_mut(j as usize);
-            for c in 0..cols {
-                let slot = j as usize * cols + c;
-                if argmax[slot] == u32::MAX || src[c] > dst[c] {
-                    dst[c] = src[c];
-                    argmax[slot] = i as u32;
-                }
-            }
-        }
-        self.push(v, Op::ScatterMax(a, owned_idx, argmax))
-    }
-
-    /// Per-segment softmax over a single-column input: row `i` belongs to
-    /// segment `seg[i]`, and within each segment the outputs form a softmax
-    /// of the inputs (max-subtracted for stability). Rows are visited in
-    /// order, so results are deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not a column or `seg.len() != a.rows`.
-    pub fn segment_softmax(&mut self, a: Var, seg: &[u32], segments: usize) -> Var {
-        let m = &self.nodes[a.0].value;
-        assert_eq!(m.cols, 1, "segment_softmax input must be a column");
-        assert_eq!(seg.len(), m.rows, "segment index count mismatch");
-        let owned_seg = copy_u32(&mut self.u32_pool, seg);
-        let mut data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let mut maxes = take_f32(&mut self.f32_pool, segments);
-        maxes.iter_mut().for_each(|x| *x = f32::NEG_INFINITY);
-        let mut sums = take_f32(&mut self.f32_pool, segments);
-        for (i, &s) in seg.iter().enumerate() {
-            let s = s as usize;
-            if data[i] > maxes[s] {
-                maxes[s] = data[i];
-            }
-        }
-        for (i, &s) in seg.iter().enumerate() {
-            data[i] = (data[i] - maxes[s as usize]).exp();
-            sums[s as usize] += data[i];
-        }
-        for (i, &s) in seg.iter().enumerate() {
-            data[i] /= sums[s as usize];
-        }
-        self.f32_pool.push(maxes);
-        self.f32_pool.push(sums);
-        let rows = data.len();
-        let v = Matrix {
-            rows,
-            cols: 1,
-            data,
-        };
-        self.push(v, Op::SegmentSoftmax(a, owned_seg))
-    }
-
-    /// Row-broadcast product: `out[r][c] = a[r][c] * w[r][0]`, where `w`
-    /// is a column with one weight per row of `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not `a.rows × 1`.
-    pub fn mul_col(&mut self, a: Var, w: Var) -> Var {
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let (av, wv) = (&self.nodes[a.0].value, &self.nodes[w.0].value);
-        assert_eq!(wv.cols, 1, "mul_col weights must be a column");
-        assert_eq!(wv.rows, av.rows, "mul_col weight count mismatch");
-        let mut v = Matrix {
-            rows: av.rows,
-            cols: av.cols,
-            data,
-        };
-        for (r, &k) in wv.data.iter().enumerate() {
-            for x in v.row_mut(r) {
-                *x *= k;
-            }
-        }
-        self.push(v, Op::MulCol(a, w))
-    }
-
-    /// Multiplies row `i` by `weights[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != a.rows`.
-    pub fn scale_rows(&mut self, a: Var, weights: &[f32]) -> Var {
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let owned_w = copy_f32(&mut self.f32_pool, weights);
-        let m = &self.nodes[a.0].value;
-        assert_eq!(weights.len(), m.rows, "scale_rows weight count mismatch");
-        let mut v = Matrix {
-            rows: m.rows,
-            cols: m.cols,
-            data,
-        };
-        for (r, &w) in weights.iter().enumerate() {
-            for x in v.row_mut(r) {
-                *x *= w;
-            }
-        }
-        self.push(v, Op::ScaleRows(a, owned_w))
+        self.record(v, Op::SumRows(a))
     }
 
     /// Scalar multiplication.
     pub fn scale(&mut self, a: Var, k: f32) -> Var {
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let av = &self.nodes[a.0].value;
-        let mut v = Matrix {
-            rows: av.rows,
-            cols: av.cols,
-            data,
-        };
+        let mut v = self.pool.copy(&self.nodes[a.0].value);
         v.scale_assign(k);
-        self.push(v, Op::Scale(a, k))
+        self.record(v, Op::Scale(a, k))
     }
 
     /// Mean absolute percentage error between the single-column prediction
@@ -581,8 +115,8 @@ impl Tape {
     ///
     /// Panics if shapes disagree.
     pub fn mape_loss(&mut self, pred: Var, targets: &[f32]) -> Var {
-        let owned_t = copy_f32(&mut self.f32_pool, targets);
-        let mut data = take_f32(&mut self.f32_pool, 1);
+        let owned_t = copy_f32(&mut self.pool.f32s, targets);
+        let mut data = take_f32(&mut self.pool.f32s, 1);
         let p = &self.nodes[pred.0].value;
         assert_eq!(p.cols, 1, "predictions must be a column");
         assert_eq!(p.rows, targets.len(), "target count mismatch");
@@ -598,7 +132,7 @@ impl Tape {
             cols: 1,
             data,
         };
-        self.push(v, Op::MapeLoss(pred, owned_t))
+        self.record(v, Op::MapeLoss(pred, owned_t))
     }
 
     /// Mean squared error; returns a `1 × 1` loss node.
@@ -607,8 +141,8 @@ impl Tape {
     ///
     /// Panics if shapes disagree.
     pub fn mse_loss(&mut self, pred: Var, targets: &[f32]) -> Var {
-        let owned_t = copy_f32(&mut self.f32_pool, targets);
-        let mut data = take_f32(&mut self.f32_pool, 1);
+        let owned_t = copy_f32(&mut self.pool.f32s, targets);
+        let mut data = take_f32(&mut self.pool.f32s, 1);
         let p = &self.nodes[pred.0].value;
         assert_eq!(p.cols, 1, "predictions must be a column");
         assert_eq!(p.rows, targets.len(), "target count mismatch");
@@ -623,7 +157,7 @@ impl Tape {
             cols: 1,
             data,
         };
-        self.push(v, Op::MseLoss(pred, owned_t))
+        self.record(v, Op::MseLoss(pred, owned_t))
     }
 
     /// Runs backpropagation from `loss` (must be `1 × 1`), returning one
@@ -654,12 +188,12 @@ impl Tape {
                         match &mut out[*slot] {
                             Some(acc) => {
                                 acc.add_assign(&g);
-                                self.f32_pool.push(g.data);
+                                self.pool.f32s.push(g.data);
                             }
                             slot_ref => *slot_ref = Some(g),
                         }
                     } else {
-                        self.f32_pool.push(g.data);
+                        self.pool.f32s.push(g.data);
                     }
                 }
                 Op::MatMul(a, b) => {
@@ -668,7 +202,7 @@ impl Tape {
                         let mut ga = Matrix {
                             rows: 0,
                             cols: 0,
-                            data: take_f32(&mut self.f32_pool, 0),
+                            data: take_f32(&mut self.pool.f32s, 0),
                         };
                         g.matmul_nt_into(&self.nodes[b.0].value, &mut ga);
                         ga
@@ -677,34 +211,34 @@ impl Tape {
                         let mut gb = Matrix {
                             rows: 0,
                             cols: 0,
-                            data: take_f32(&mut self.f32_pool, 0),
+                            data: take_f32(&mut self.pool.f32s, 0),
                         };
                         self.nodes[a.0].value.matmul_tn_into(&g, &mut gb);
                         gb
                     };
-                    self.f32_pool.push(g.data);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
-                    accumulate(&mut self.f32_pool, &mut grads, b, gb);
+                    self.pool.f32s.push(g.data);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
+                    accumulate(&mut self.pool.f32s, &mut grads, b, gb);
                 }
                 Op::Add(a, b) => {
                     let (a, b) = (*a, *b);
-                    let gc = self.pooled_copy(&g);
-                    accumulate(&mut self.f32_pool, &mut grads, a, gc);
-                    accumulate(&mut self.f32_pool, &mut grads, b, g);
+                    let gc = self.pool.copy(&g);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, gc);
+                    accumulate(&mut self.pool.f32s, &mut grads, b, g);
                 }
                 Op::AddRow(a, bias) => {
                     let (a, bias) = (*a, *bias);
                     let gb = self.colsum(&g);
-                    accumulate(&mut self.f32_pool, &mut grads, bias, gb);
-                    accumulate(&mut self.f32_pool, &mut grads, a, g);
+                    accumulate(&mut self.pool.f32s, &mut grads, bias, gb);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, g);
                 }
                 Op::AddN(vars) => {
                     let vars = vars.clone();
                     for v in &vars[1..] {
-                        let gc = self.pooled_copy(&g);
-                        accumulate(&mut self.f32_pool, &mut grads, *v, gc);
+                        let gc = self.pool.copy(&g);
+                        accumulate(&mut self.pool.f32s, &mut grads, *v, gc);
                     }
-                    accumulate(&mut self.f32_pool, &mut grads, vars[0], g);
+                    accumulate(&mut self.pool.f32s, &mut grads, vars[0], g);
                 }
                 Op::Relu(a) => {
                     let a = *a;
@@ -714,7 +248,7 @@ impl Tape {
                             *x = 0.0;
                         }
                     }
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
                 }
                 Op::LinearBiasRelu(a, w, bias) => {
                     let (a, w, bias) = (*a, *w, *bias);
@@ -732,7 +266,7 @@ impl Tape {
                         let mut ga = Matrix {
                             rows: 0,
                             cols: 0,
-                            data: take_f32(&mut self.f32_pool, 0),
+                            data: take_f32(&mut self.pool.f32s, 0),
                         };
                         gm.matmul_nt_into(&self.nodes[w.0].value, &mut ga);
                         ga
@@ -741,15 +275,15 @@ impl Tape {
                         let mut gw = Matrix {
                             rows: 0,
                             cols: 0,
-                            data: take_f32(&mut self.f32_pool, 0),
+                            data: take_f32(&mut self.pool.f32s, 0),
                         };
                         self.nodes[a.0].value.matmul_tn_into(&gm, &mut gw);
                         gw
                     };
-                    self.f32_pool.push(gm.data);
-                    accumulate(&mut self.f32_pool, &mut grads, bias, gb);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
-                    accumulate(&mut self.f32_pool, &mut grads, w, gw);
+                    self.pool.f32s.push(gm.data);
+                    accumulate(&mut self.pool.f32s, &mut grads, bias, gb);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
+                    accumulate(&mut self.pool.f32s, &mut grads, w, gw);
                 }
                 Op::AddRowRelu(a, bias) => {
                     let (a, bias) = (*a, *bias);
@@ -760,18 +294,16 @@ impl Tape {
                         }
                     }
                     let gb = self.colsum(&gm);
-                    accumulate(&mut self.f32_pool, &mut grads, bias, gb);
-                    accumulate(&mut self.f32_pool, &mut grads, a, gm);
+                    accumulate(&mut self.pool.f32s, &mut grads, bias, gb);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, gm);
                 }
                 Op::Dropout(a, mask) => {
                     let a = *a;
                     let mut ga = g;
-                    if !mask.is_empty() {
-                        for (x, &m) in ga.data.iter_mut().zip(mask) {
-                            *x *= m;
-                        }
+                    for (x, &m) in ga.data.iter_mut().zip(mask) {
+                        *x *= m;
                     }
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
                 }
                 Op::ConcatCols(a, b) => {
                     let (a, b) = (*a, *b);
@@ -779,20 +311,20 @@ impl Tape {
                     let mut ga = Matrix {
                         rows: g.rows,
                         cols: ca,
-                        data: take_f32(&mut self.f32_pool, g.rows * ca),
+                        data: take_f32(&mut self.pool.f32s, g.rows * ca),
                     };
                     let mut gb = Matrix {
                         rows: g.rows,
                         cols: cb,
-                        data: take_f32(&mut self.f32_pool, g.rows * cb),
+                        data: take_f32(&mut self.pool.f32s, g.rows * cb),
                     };
                     for r in 0..g.rows {
                         ga.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
                         gb.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
                     }
-                    self.f32_pool.push(g.data);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
-                    accumulate(&mut self.f32_pool, &mut grads, b, gb);
+                    self.pool.f32s.push(g.data);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
+                    accumulate(&mut self.pool.f32s, &mut grads, b, gb);
                 }
                 Op::SumRows(a) => {
                     let a = *a;
@@ -800,24 +332,24 @@ impl Tape {
                     let mut ga = Matrix {
                         rows,
                         cols: g.cols,
-                        data: take_f32(&mut self.f32_pool, rows * g.cols),
+                        data: take_f32(&mut self.pool.f32s, rows * g.cols),
                     };
                     for r in 0..rows {
                         ga.row_mut(r).copy_from_slice(g.row(0));
                     }
-                    self.f32_pool.push(g.data);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    self.pool.f32s.push(g.data);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
                 }
                 Op::Gather(a, _) => {
                     let a = *a;
                     let (rows, cols) = {
-                        let src = &self.nodes[a.0].value;
+                        let src = self.value(a);
                         (src.rows, src.cols)
                     };
                     let mut ga = Matrix {
                         rows,
                         cols,
-                        data: take_f32(&mut self.f32_pool, rows * cols),
+                        data: take_f32(&mut self.pool.f32s, rows * cols),
                     };
                     let Op::Gather(_, idx) = &self.nodes[i].op else {
                         unreachable!()
@@ -828,19 +360,19 @@ impl Tape {
                             *o += x;
                         }
                     }
-                    self.f32_pool.push(g.data);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    self.pool.f32s.push(g.data);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
                 }
                 Op::ScatterAdd(a, _) => {
                     let a = *a;
                     let (rows, cols) = {
-                        let src = &self.nodes[a.0].value;
+                        let src = self.value(a);
                         (src.rows, src.cols)
                     };
                     let mut ga = Matrix {
                         rows,
                         cols,
-                        data: take_f32(&mut self.f32_pool, rows * cols),
+                        data: take_f32(&mut self.pool.f32s, rows * cols),
                     };
                     let Op::ScatterAdd(_, idx) = &self.nodes[i].op else {
                         unreachable!()
@@ -848,8 +380,8 @@ impl Tape {
                     for (r, &j) in idx.iter().enumerate() {
                         ga.row_mut(r).copy_from_slice(g.row(j as usize));
                     }
-                    self.f32_pool.push(g.data);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    self.pool.f32s.push(g.data);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
                 }
                 Op::ScaleRows(a, w) => {
                     let a = *a;
@@ -859,13 +391,13 @@ impl Tape {
                             *x *= k;
                         }
                     }
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
                 }
                 Op::Scale(a, k) => {
                     let (a, k) = (*a, *k);
                     let mut ga = g;
                     ga.scale_assign(k);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
                 }
                 Op::MapeLoss(pred, targets) => {
                     let pred = *pred;
@@ -875,7 +407,7 @@ impl Tape {
                     let mut gp = Matrix {
                         rows,
                         cols: 1,
-                        data: take_f32(&mut self.f32_pool, rows),
+                        data: take_f32(&mut self.pool.f32s, rows),
                     };
                     let Op::MapeLoss(_, targets) = &self.nodes[i].op else {
                         unreachable!()
@@ -887,8 +419,8 @@ impl Tape {
                             gp.data[r] = scale * sign / t.abs();
                         }
                     }
-                    self.f32_pool.push(g.data);
-                    accumulate(&mut self.f32_pool, &mut grads, pred, gp);
+                    self.pool.f32s.push(g.data);
+                    accumulate(&mut self.pool.f32s, &mut grads, pred, gp);
                 }
                 Op::MseLoss(pred, targets) => {
                     let pred = *pred;
@@ -898,7 +430,7 @@ impl Tape {
                     let mut gp = Matrix {
                         rows,
                         cols: 1,
-                        data: take_f32(&mut self.f32_pool, rows),
+                        data: take_f32(&mut self.pool.f32s, rows),
                     };
                     let Op::MseLoss(_, targets) = &self.nodes[i].op else {
                         unreachable!()
@@ -907,19 +439,19 @@ impl Tape {
                     for (r, &t) in targets.iter().enumerate() {
                         gp.data[r] = scale * (p.data[r] - t);
                     }
-                    self.f32_pool.push(g.data);
-                    accumulate(&mut self.f32_pool, &mut grads, pred, gp);
+                    self.pool.f32s.push(g.data);
+                    accumulate(&mut self.pool.f32s, &mut grads, pred, gp);
                 }
                 Op::ScatterMax(a, _, _) => {
                     let a = *a;
                     let (rows, cols) = {
-                        let src = &self.nodes[a.0].value;
+                        let src = self.value(a);
                         (src.rows, src.cols)
                     };
                     let mut ga = Matrix {
                         rows,
                         cols,
-                        data: take_f32(&mut self.f32_pool, rows * cols),
+                        data: take_f32(&mut self.pool.f32s, rows * cols),
                     };
                     let Op::ScatterMax(_, _, argmax) = &self.nodes[i].op else {
                         unreachable!()
@@ -931,8 +463,8 @@ impl Tape {
                             ga.row_mut(am as usize)[c] += g.data[slot];
                         }
                     }
-                    self.f32_pool.push(g.data);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    self.pool.f32s.push(g.data);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
                 }
                 Op::SegmentSoftmax(a, _) => {
                     let a = *a;
@@ -940,7 +472,7 @@ impl Tape {
                         unreachable!()
                     };
                     let segments = seg.iter().max().map_or(0, |&m| m as usize + 1);
-                    let mut dots = take_f32(&mut self.f32_pool, segments);
+                    let mut dots = take_f32(&mut self.pool.f32s, segments);
                     let y = &self.nodes[i].value;
                     for (r, &s) in seg.iter().enumerate() {
                         dots[s as usize] += y.data[r] * g.data[r];
@@ -950,8 +482,8 @@ impl Tape {
                     for (r, &s) in seg.iter().enumerate() {
                         ga.data[r] = y.data[r] * (ga.data[r] - dots[s as usize]);
                     }
-                    self.f32_pool.push(dots);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    self.pool.f32s.push(dots);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
                 }
                 Op::MulCol(a, w) => {
                     let (a, w) = (*a, *w);
@@ -959,9 +491,9 @@ impl Tape {
                     let mut gw = Matrix {
                         rows,
                         cols: 1,
-                        data: take_f32(&mut self.f32_pool, rows),
+                        data: take_f32(&mut self.pool.f32s, rows),
                     };
-                    let av = &self.nodes[a.0].value;
+                    let av = self.value(a);
                     for r in 0..rows {
                         let mut acc = 0.0f32;
                         for (&gx, &ax) in g.row(r).iter().zip(av.row(r)) {
@@ -976,22 +508,12 @@ impl Tape {
                             *x *= k;
                         }
                     }
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
-                    accumulate(&mut self.f32_pool, &mut grads, w, gw);
+                    accumulate(&mut self.pool.f32s, &mut grads, a, ga);
+                    accumulate(&mut self.pool.f32s, &mut grads, w, gw);
                 }
             }
         }
         out
-    }
-
-    /// Pool-backed copy of a matrix (leaf values, fanned-out gradients).
-    fn pooled_copy(&mut self, g: &Matrix) -> Matrix {
-        let data = copy_f32(&mut self.f32_pool, &g.data);
-        Matrix {
-            rows: g.rows,
-            cols: g.cols,
-            data,
-        }
     }
 
     /// Pool-backed column sum `[n, d] → [1, d]` (bias gradient).
@@ -999,7 +521,7 @@ impl Tape {
         let mut gb = Matrix {
             rows: 1,
             cols: g.cols,
-            data: take_f32(&mut self.f32_pool, g.cols),
+            data: take_f32(&mut self.pool.f32s, g.cols),
         };
         for r in 0..g.rows {
             for (o, &x) in gb.data.iter_mut().zip(g.row(r)) {
@@ -1020,6 +542,38 @@ impl Tape {
     }
 }
 
+impl<'a> Exec<'a> for Tape {
+    fn value(&self, v: Var) -> &Matrix {
+        &self.nodes[v.0].value
+    }
+
+    /// Copies `m` into a pooled buffer. Debug builds assert it is finite —
+    /// the matmul kernels are IEEE-faithful, so a NaN entering here
+    /// poisons everything downstream.
+    fn leaf(&mut self, m: &'a Matrix) -> Var {
+        debug_assert!(m.is_finite(), "non-finite leaf entered the tape");
+        let v = self.pool.copy(m);
+        self.record(v, Op::Leaf { param: None })
+    }
+
+    /// Copies `m` into a pooled buffer. Debug builds assert it is finite.
+    fn param(&mut self, slot: usize, m: &'a Matrix) -> Var {
+        debug_assert!(m.is_finite(), "non-finite parameter entered the tape");
+        self.num_params = self.num_params.max(slot + 1);
+        let v = self.pool.copy(m);
+        self.record(v, Op::Leaf { param: Some(slot) })
+    }
+
+    fn pool(&mut self) -> &mut Pool {
+        &mut self.pool
+    }
+
+    fn record(&mut self, value: Matrix, op: Op) -> Var {
+        self.nodes.push(Node { value, op });
+        Var(self.nodes.len() - 1)
+    }
+}
+
 /// Adds `g` into the gradient slot for `v`, recycling `g`'s buffer into
 /// the pool when the slot already holds an accumulator.
 fn accumulate(pool: &mut Vec<Vec<f32>>, grads: &mut [Option<Matrix>], v: Var, g: Matrix) {
@@ -1035,6 +589,7 @@ fn accumulate(pool: &mut Vec<Vec<f32>>, grads: &mut [Option<Matrix>], v: Var, g:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pg_util::Rng64;
 
     /// Finite-difference gradient check for a scalar function of params.
     fn grad_check<F>(param: Matrix, f: F)
@@ -1414,7 +969,7 @@ mod tests {
                     let loss = t.mse_loss(y, &targets);
                     t.backward(loss);
                 }
-                sizes.push((t.f32_pool.len(), t.u32_pool.len()));
+                sizes.push((t.pool.f32s.len(), t.pool.u32s.len()));
             }
             let settled = sizes[4];
             assert!(

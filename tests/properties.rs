@@ -4,13 +4,15 @@ use proptest::prelude::*;
 
 use powergear_repro::activity::{activation_rate, execute, switching_activity, Stimuli};
 use powergear_repro::dse::{adrs, dominates, pareto_frontier, run_dse, DseConfig, Point};
-use powergear_repro::gnn::{GraphBatch, ModelConfig, PowerModel, RelEdges};
+use powergear_repro::gnn::{
+    table2_variants, zoo_variants, Arch, GraphBatch, ModelConfig, PowerModel, RelEdges,
+};
 use powergear_repro::graphcon::GraphFlow;
 use powergear_repro::graphcon::{PowerGraph, Relation};
 use powergear_repro::hls::{Directives, FuLibrary, HlsFlow};
 use powergear_repro::ir::expr::{aff, Expr};
 use powergear_repro::ir::{ArrayKind, Kernel, KernelBuilder, Opcode};
-use powergear_repro::tensor::{GradAccum, Matrix, Tape, Var};
+use powergear_repro::tensor::{Eval, Exec, GradAccum, Matrix, Tape, Var};
 use powergear_repro::util::Rng64;
 
 /// A small random-but-valid kernel family: `y[i] = y[i] + a[i]*x[i] ...`
@@ -328,14 +330,19 @@ proptest! {
     }
 }
 
-/// A random batch for the HEC compaction property: 1–3 graphs of 1–8
-/// nodes, each with one extra node that has no edges at all, edges drawn
-/// from a random subset of the four relations (so whole relations are
-/// often empty), and edge features that include all-zero rows and pairs
-/// that cancel exactly at their destination.
+/// A random batch for the HEC compaction property: 1–3 graphs from
+/// [`random_graphs`].
 fn random_hec_batch(rng: &mut Rng64) -> (Vec<PowerGraph>, Vec<f64>) {
-    const RELS: [Relation; 4] = [Relation::AA, Relation::AN, Relation::NA, Relation::NN];
     let graphs = 1 + rng.below(3);
+    random_graphs(rng, graphs)
+}
+
+/// `graphs` random graphs of 1–8 nodes, each with one extra node that has
+/// no edges at all, edges drawn from a random subset of the four relations
+/// (so whole relations are often empty), and edge features that include
+/// all-zero rows and pairs that cancel exactly at their destination.
+fn random_graphs(rng: &mut Rng64, graphs: usize) -> (Vec<PowerGraph>, Vec<f64>) {
+    const RELS: [Relation; 4] = [Relation::AA, Relation::AN, Relation::NA, Relation::NN];
     let allowed: Vec<Relation> = RELS.into_iter().filter(|_| rng.below(3) > 0).collect();
     let f = PowerGraph::NODE_FEATS;
     let mut out = Vec::new();
@@ -502,6 +509,68 @@ proptest! {
         prop_assert_eq!(got.1.len(), want.1.len());
         for (slot, (g, w)) in got.1.iter().zip(&want.1).enumerate() {
             prop_assert_eq!(g, w, "gradient of `{}` differs", model.store.name(slot));
+        }
+    }
+}
+
+/// Every model configuration the workspace trains: the zoo grid, the
+/// Table II ablations and the four baselines, at a small hidden width.
+fn every_config() -> Vec<ModelConfig> {
+    let mut configs: Vec<ModelConfig> = zoo_variants(8)
+        .into_iter()
+        .chain(table2_variants(8))
+        .map(|v| v.config)
+        .collect();
+    for arch in [Arch::Gcn, Arch::Sage, Arch::GraphConv, Arch::Gine] {
+        configs.push(ModelConfig::baseline(arch, 8));
+    }
+    configs
+}
+
+fn f32_bits(m: &Matrix) -> Vec<u32> {
+    m.data.iter().map(|v| v.to_bits()).collect()
+}
+
+fn f64_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The tape-free evaluator computes exactly what the recording tape
+    /// computes, for every configuration, and a graph's prediction does
+    /// not depend on which other graphs share its batch.
+    #[test]
+    fn eval_matches_tape_and_is_batch_invariant(seed in any::<u64>(), graphs in 1usize..9) {
+        let mut rng = Rng64::new(seed);
+        let (graphs, targets) = random_graphs(&mut rng, graphs);
+        let refs: Vec<&PowerGraph> = graphs.iter().collect();
+        let batch = GraphBatch::new(&refs, &targets);
+        // A random composition: a shuffled, non-empty subset of the graphs.
+        let mut order: Vec<usize> = (0..refs.len()).collect();
+        rng.shuffle(&mut order);
+        order.truncate(1 + rng.below(refs.len()));
+        let subset: Vec<&PowerGraph> = order.iter().map(|&i| refs[i]).collect();
+        for cfg in every_config() {
+            let name = cfg.zoo_name();
+            let mut model = PowerModel::new(cfg, seed);
+            for s in 0..model.store.len() {
+                for w in &mut model.store.get_mut(s).data {
+                    *w += 0.2 * (rng.f32() - 0.5);
+                }
+            }
+            let mut tape = Tape::new();
+            let pred = model.forward(&mut tape, &batch, false, &mut Rng64::new(0));
+            let mut ev = Eval::new();
+            let got = model.forward(&mut ev, &batch, false, &mut Rng64::new(0));
+            prop_assert_eq!(f32_bits(ev.value(got)), f32_bits(tape.value(pred)), "{}", name);
+            drop(ev);
+
+            let alone: Vec<f64> = refs.iter().map(|g| model.predict(&[*g])[0]).collect();
+            prop_assert_eq!(f64_bits(&model.predict(&refs)), f64_bits(&alone), "{}", name);
+            let want: Vec<f64> = order.iter().map(|&i| alone[i]).collect();
+            prop_assert_eq!(f64_bits(&model.predict(&subset)), f64_bits(&want), "{}", name);
         }
     }
 }

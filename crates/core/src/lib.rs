@@ -33,12 +33,16 @@
 pub mod daemon;
 pub mod eval;
 
-use pg_activity::{execute, Stimuli};
-use pg_datasets::{HlsCache, KernelDataset, PowerTarget};
+use pg_datasets::{build_graphs_cached, HlsCache, KernelDataset, PowerTarget};
 use pg_gnn::{map_batches, Ensemble, ModelConfig, ServeConfig, TrainConfig};
-use pg_graphcon::{GraphFlow, PowerGraph};
+use pg_graphcon::PowerGraph;
 use pg_hls::{Directives, HlsError, HlsReport};
 use pg_ir::Kernel;
+
+/// Testbench seed the estimator traces new design points with: the
+/// default dataset seed, so graphs match those of a model trained on
+/// default-seed datasets.
+const STIMULI_SEED: u64 = 1;
 
 /// Top-level configuration for [`PowerGear::fit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -180,7 +184,8 @@ impl PowerGear {
     }
 
     /// Builds the PowerGraph for a new design point exactly as the training
-    /// pipeline does (HLS → trace → graph flow → metadata features).
+    /// pipeline does (HLS → trace → graph flow → metadata features): a
+    /// one-point call into the dataset builder's design → graph step.
     ///
     /// # Errors
     ///
@@ -190,33 +195,14 @@ impl PowerGear {
         kernel: &Kernel,
         directives: &Directives,
     ) -> Result<(PowerGraph, HlsReport), HlsError> {
-        Self::build_graph_cached(kernel, directives, &HlsCache::new())
-    }
-
-    /// [`PowerGear::build_graph`] through a shared [`HlsCache`], so the
-    /// baseline and repeated design points are synthesized only once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`HlsError`] from synthesis of the design or its
-    /// unoptimized baseline.
-    pub fn build_graph_cached(
-        kernel: &Kernel,
-        directives: &Directives,
-        cache: &HlsCache,
-    ) -> Result<(PowerGraph, HlsReport), HlsError> {
-        let baseline = cache.run(kernel, &Directives::new())?.report.clone();
-        let design = cache.run(kernel, directives)?;
-        let stim = Stimuli::for_kernel(kernel, 1);
-        let trace = execute(&design, &stim);
-        let mut graph = GraphFlow::new().build(&design, &trace);
-        graph.meta = design
-            .report
-            .metadata_features(&baseline)
-            .into_iter()
-            .map(|v| v as f32)
-            .collect();
-        Ok((graph, design.report.clone()))
+        let mut one = build_graphs_cached(
+            kernel,
+            std::slice::from_ref(directives),
+            STIMULI_SEED,
+            1,
+            &HlsCache::new(),
+        )?;
+        Ok(one.swap_remove(0))
     }
 
     /// Full inference flow for a new design point.
@@ -266,32 +252,53 @@ impl PowerGear {
         preds
     }
 
-    /// Estimates a whole set of design points of one kernel: each
-    /// configuration is synthesized through the shared [`HlsCache`] and all
-    /// graphs are served in one batched engine pass — the DSE calling
-    /// pattern of §IV-C.
+    /// Estimates a whole set of design points of one kernel — the DSE
+    /// calling pattern of §IV-C — at [`ServeConfig::default`]. See
+    /// [`PowerGear::estimate_space_with`].
     ///
     /// # Errors
     ///
-    /// Propagates the first [`HlsError`] from synthesis.
+    /// Propagates the first [`HlsError`] in config order.
     pub fn estimate_space(
         &self,
         kernel: &Kernel,
         configs: &[Directives],
         cache: &HlsCache,
     ) -> Result<Vec<PowerEstimate>, HlsError> {
-        let mut graphs = Vec::with_capacity(configs.len());
-        let mut reports = Vec::with_capacity(configs.len());
-        for d in configs {
-            let (graph, report) = Self::build_graph_cached(kernel, d, cache)?;
-            graphs.push(graph);
-            reports.push(report);
-        }
-        let refs: Vec<&PowerGraph> = graphs.iter().collect();
-        let preds = self.estimate_graphs(&refs);
+        self.estimate_space_with(kernel, configs, cache, &ServeConfig::default())
+    }
+
+    /// [`PowerGear::estimate_space`] with explicit batching/parallelism.
+    /// Three phases, each on `serve.threads` workers:
+    ///
+    /// 1. cold synthesis of every config through one per-kernel session
+    ///    of the shared [`HlsCache`] (work-stealing);
+    /// 2. trace and graph construction over the now-warm cache, through
+    ///    the dataset builder's work-stealing assembly (each worker
+    ///    recycles one trace scratch; graphs come back in config order);
+    /// 3. one batched inference pass over all graphs
+    ///    ([`PowerGear::estimate_graphs_with`]).
+    ///
+    /// Every estimate is bit-identical to the per-point
+    /// [`PowerGear::estimate`] at any thread count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`HlsError`] in config order — the error a
+    /// per-point loop would stop at.
+    pub fn estimate_space_with(
+        &self,
+        kernel: &Kernel,
+        configs: &[Directives],
+        cache: &HlsCache,
+        serve: &ServeConfig,
+    ) -> Result<Vec<PowerEstimate>, HlsError> {
+        let built = build_graphs_cached(kernel, configs, STIMULI_SEED, serve.threads, cache)?;
+        let refs: Vec<&PowerGraph> = built.iter().map(|(graph, _)| graph).collect();
+        let preds = self.estimate_graphs_with(&refs, serve);
         Ok(preds
             .into_iter()
-            .zip(graphs.iter().zip(&reports))
+            .zip(&built)
             .map(|((total, dynamic), (graph, report))| PowerEstimate {
                 total_w: total,
                 dynamic_w: dynamic,
@@ -542,5 +549,36 @@ mod tests {
         let mut d = Directives::new();
         d.pipeline("nonexistent");
         assert!(model.estimate(&kernel, &d).is_err());
+    }
+
+    #[test]
+    fn estimate_space_returns_the_first_error_in_config_order() {
+        let ds = tiny_datasets();
+        let model = PowerGear::fit(&ds, &tiny_config());
+        let kernel = polybench::mvt(6);
+        let mut configs: Vec<Directives> = ds[0]
+            .samples
+            .iter()
+            .take(8)
+            .map(|s| s.directives.clone())
+            .collect();
+        let mut bad_loop = Directives::new();
+        bad_loop.pipeline("nonexistent");
+        let mut bad_array = Directives::new();
+        bad_array.partition("nonexistent", 2);
+        configs.insert(3, bad_loop);
+        configs.insert(6, bad_array);
+        let first = configs
+            .iter()
+            .find_map(|d| model.estimate(&kernel, d).err())
+            .unwrap();
+        assert_eq!(first, HlsError::UnknownLoop("nonexistent".into()));
+        for threads in [1, 2, 4] {
+            let serve = ServeConfig::new(32, threads);
+            let err = model
+                .estimate_space_with(&kernel, &configs, &HlsCache::new(), &serve)
+                .unwrap_err();
+            assert_eq!(err, first, "{threads} threads");
+        }
     }
 }

@@ -11,10 +11,10 @@
 //! [`build_kernel_dataset_cached`] runs two parallel phases over one
 //! shared [`HlsCache`]:
 //!
-//! 1. **Cold synthesis** — a [`KernelSession`](crate::cache::KernelSession)
-//!    is opened once per kernel (computing the fingerprint and the
-//!    directive-independent [`KernelAnalysis`](pg_hls::KernelAnalysis)
-//!    exactly once for the whole space), then
+//! 1. **Cold synthesis** — a [`KernelSession`] is opened once per kernel
+//!    (computing the fingerprint and the directive-independent
+//!    [`KernelAnalysis`](pg_hls::KernelAnalysis) exactly once for the
+//!    whole space), then
 //!    [`populate`](crate::cache::KernelSession::populate) synthesizes the
 //!    directive space with *work-stealing* workers: an atomic cursor over
 //!    the config list, because design points vary wildly in cost (an
@@ -22,8 +22,8 @@
 //!    static chunking would leave workers idle.
 //! 2. **Sample assembly** — tracing, graph construction and oracle
 //!    labeling run over the now-warm cache, again via an atomic cursor;
-//!    each worker pushes `(index, sample)` and results are re-ordered by
-//!    index afterwards.
+//!    each worker keeps `(index, sample)` pairs and results are re-ordered
+//!    by index afterwards.
 //!
 //! Both phases are scheduling-nondeterministic internally, but neither
 //! lets the schedule leak into the output: the cache keys designs by
@@ -32,8 +32,15 @@
 //! count** (pinned by the scale-determinism suite in
 //! `tests/determinism.rs`).
 //!
-//! Per design point, one `WorkGraph` is built and shared between the
-//! finalized [`PowerGraph`] sample and the power oracle's netlist
+//! # One design → graph path
+//!
+//! The estimator is the second caller of both phases.
+//! [`build_graphs_cached`] runs the same session set-up and the same
+//! assembly loop, minus the oracle label, and `PowerGear::estimate_space`
+//! feeds its graphs to one batched inference pass. Per design point, both
+//! callers go through `graph_from_design_in`: trace, one `WorkGraph`,
+//! the finalized [`PowerGraph`] and its metadata features. The dataset
+//! builder shares that work graph with the power oracle's netlist
 //! surrogate — see [`sample_from_design`]. Every assembly worker owns a
 //! [`pg_activity::TraceScratch`]: the trace interpreter's flat event arena
 //! and row buffer are recycled across all the design points the worker
@@ -41,14 +48,15 @@
 //! of every stage is attributed via `pg_util::prof` scopes; the
 //! `profile_synth` bench bin prints the table.
 
-use crate::cache::HlsCache;
+use crate::cache::{HlsCache, KernelSession};
 use crate::space::sample_space;
-use pg_activity::{execute_in, Stimuli, TraceScratch};
-use pg_graphcon::{GraphFlow, PowerGraph};
-use pg_hls::{Directives, HlsDesign, HlsReport};
+use pg_activity::{execute_in, ExecutionTrace, Stimuli, TraceScratch};
+use pg_graphcon::{GraphFlow, PowerGraph, WorkGraph};
+use pg_hls::{Directives, HlsDesign, HlsError, HlsReport};
 use pg_ir::Kernel;
 use pg_powersim::{BoardOracle, PowerBreakdown};
 use pg_util::prof;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Dataset construction parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,6 +196,61 @@ impl KernelDataset {
     }
 }
 
+/// One design point's graphs: the annotated [`PowerGraph`] sample and the
+/// [`WorkGraph`] it was finalized from, which the power oracle's netlist
+/// surrogate reads. [`DesignGraph::recycle`] hands the trace arena back to
+/// the worker's [`TraceScratch`] once the work graph is no longer needed.
+#[derive(Debug)]
+pub(crate) struct DesignGraph {
+    /// The finalized graph with its metadata features filled in.
+    pub(crate) graph: PowerGraph,
+    /// The construction passes' output; shares the trace's event arena.
+    pub(crate) work: WorkGraph,
+    /// Kept so the arena can return to the scratch.
+    trace: ExecutionTrace,
+}
+
+impl DesignGraph {
+    /// Drops the work graph, returns the trace arena to `scratch` and
+    /// yields the finalized graph.
+    pub(crate) fn recycle(self, scratch: &mut TraceScratch) -> PowerGraph {
+        let DesignGraph { graph, work, trace } = self;
+        // The work graph held the last shared reference to the trace
+        // arena; dropping it lets the scratch take the allocation back for
+        // the next design point.
+        drop(work);
+        scratch.reclaim(trace);
+        graph
+    }
+}
+
+/// The design → graph step that the dataset builder and the estimator
+/// share: traces `design` under `stimuli` with buffers from `scratch`,
+/// runs the construction passes once, finalizes the sample graph and fills
+/// its metadata features relative to `baseline`. Bit-identical to
+/// `GraphFlow::build` over a fresh `execute` trace.
+pub(crate) fn graph_from_design_in(
+    design: &HlsDesign,
+    stimuli: &Stimuli,
+    baseline: &HlsReport,
+    scratch: &mut TraceScratch,
+) -> DesignGraph {
+    let trace = {
+        let _t = prof::scope("sample.trace");
+        execute_in(design, stimuli, scratch)
+    };
+    let flow = GraphFlow::new();
+    let work = flow.build_work(design, &trace);
+    let mut graph = flow.finalize_work(&work, design);
+    graph.meta = design
+        .report
+        .metadata_features(baseline)
+        .into_iter()
+        .map(|v| v as f32)
+        .collect();
+    DesignGraph { graph, work, trace }
+}
+
 /// Labels one already-synthesized design (trace → graph → metadata →
 /// oracle power).
 pub fn sample_from_design(
@@ -212,36 +275,19 @@ pub fn sample_from_design_in(
     scratch: &mut TraceScratch,
 ) -> Sample {
     let _t = prof::scope("sample");
-    let trace = {
-        let _t = prof::scope("sample.trace");
-        execute_in(design, stimuli, scratch)
-    };
     // One work graph serves both the GNN sample and the oracle's netlist
     // surrogate — the construction passes (raw DFG, buffers, merge, trim)
     // used to run twice per design point.
-    let flow = GraphFlow::new();
-    let work = flow.build_work(design, &trace);
-    let mut graph = flow.finalize_work(&work, design);
-    graph.meta = design
-        .report
-        .metadata_features(baseline)
-        .into_iter()
-        .map(|v| v as f32)
-        .collect();
+    let built = graph_from_design_in(design, stimuli, baseline, scratch);
     let power = {
         let _t = prof::scope("sample.oracle");
-        BoardOracle::default().measure_graph(design, &work)
+        BoardOracle::default().measure_graph(design, &built.work)
     };
-    // The work graph held the last shared reference to the trace arena;
-    // dropping it lets the scratch take the allocation back for the next
-    // design point.
-    drop(work);
-    scratch.reclaim(trace);
     Sample {
         kernel: kernel.name.clone(),
         design_id: design.design_id(),
         directives: design.directives.clone(),
-        graph,
+        graph: built.recycle(scratch),
         power,
         latency: design.report.latency_cycles,
         report: design.report.clone(),
@@ -282,72 +328,125 @@ pub fn build_sample(
 ///
 /// Two parallel phases, both dynamically load-balanced (see the module
 /// docs): cold synthesis of the whole directive space through a
-/// [`KernelSession`](crate::cache::KernelSession), then sample assembly
-/// (trace → graph → labels) over the now-warm cache.
+/// [`KernelSession`], then sample assembly (trace → graph → labels) over
+/// the now-warm cache.
 pub fn build_kernel_dataset_cached(
     kernel: &Kernel,
     cfg: &DatasetConfig,
     cache: &HlsCache,
 ) -> KernelDataset {
-    let session = cache
-        .session(kernel)
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-    let stimuli = Stimuli::for_kernel(kernel, cfg.seed);
-    let baseline = session
-        .run(&Directives::new())
-        .unwrap_or_else(|e| panic!("{} baseline: {e}", kernel.name))
-        .report
-        .clone();
     let configs = sample_space(kernel, cfg.max_samples, cfg.seed);
-
-    // Phase 1: cold synthesis across the directive space (work-stealing).
-    session
-        .populate(&configs, cfg.threads)
+    let space = WarmSpace::open(kernel, cache, cfg.seed, &configs, cfg.threads)
         .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-
-    // Phase 2: sample assembly over the warm cache. Every `session.run`
-    // below is a cache hit; workers pull design points off an atomic
-    // cursor and results are re-ordered by index, so sample order, labels
-    // and graphs never depend on the thread count. Each worker owns one
-    // [`TraceScratch`], so the trace arena and row buffers are recycled
-    // across all design points the worker steals.
-    let assemble = |d: &Directives, scratch: &mut TraceScratch| {
-        let design = session
-            .run(d)
-            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-        sample_from_design_in(kernel, &design, &stimuli, &baseline, scratch)
-    };
-    let samples: Vec<Sample> = if cfg.threads <= 1 || configs.len() < 4 {
-        let mut scratch = TraceScratch::new();
-        configs.iter().map(|d| assemble(d, &mut scratch)).collect()
-    } else {
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let done: std::sync::Mutex<Vec<(usize, Sample)>> =
-            std::sync::Mutex::new(Vec::with_capacity(configs.len()));
-        std::thread::scope(|scope| {
-            let workers = cfg.threads.min(configs.len());
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = TraceScratch::new();
-                    loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(d) = configs.get(i) else { break };
-                        let s = assemble(d, &mut scratch);
-                        done.lock().expect("sample lock").push((i, s));
-                    }
-                });
-            }
-        });
-        let mut done = done.into_inner().expect("sample lock");
-        done.sort_by_key(|(i, _)| *i);
-        done.into_iter().map(|(_, s)| s).collect()
-    };
-
+    let samples = space
+        .assemble(&configs, cfg.threads, |design, scratch| {
+            sample_from_design_in(kernel, design, &space.stimuli, &space.baseline, scratch)
+        })
+        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
     KernelDataset {
         kernel: kernel.name.clone(),
         size: cfg.size,
         samples,
-        baseline,
+        baseline: space.baseline,
+    }
+}
+
+/// Builds the annotated graph of every design point in `configs` for
+/// estimation: the dataset builder's two phases on `threads` workers each,
+/// without the oracle label. Returns each graph with its HLS report, in
+/// config order, bit-identical for any thread count and to one-point
+/// calls.
+///
+/// # Errors
+///
+/// The kernel's validation error, the baseline's synthesis error, or else
+/// the first [`HlsError`] in config order.
+pub fn build_graphs_cached(
+    kernel: &Kernel,
+    configs: &[Directives],
+    seed: u64,
+    threads: usize,
+    cache: &HlsCache,
+) -> Result<Vec<(PowerGraph, HlsReport)>, HlsError> {
+    let space = WarmSpace::open(kernel, cache, seed, configs, threads)?;
+    space.assemble(configs, threads, |design, scratch| {
+        let built = graph_from_design_in(design, &space.stimuli, &space.baseline, scratch);
+        (built.recycle(scratch), design.report.clone())
+    })
+}
+
+/// One kernel's design space after phase 1, shared by the dataset builder
+/// and [`build_graphs_cached`]: the session over the cache, the testbench
+/// and the baseline report (the metadata scaling reference).
+struct WarmSpace<'c, 'k> {
+    session: KernelSession<'c, 'k>,
+    stimuli: Stimuli,
+    baseline: HlsReport,
+}
+
+impl<'c, 'k> WarmSpace<'c, 'k> {
+    /// Opens the session, synthesizes the baseline and runs phase 1: cold
+    /// synthesis of `configs` on `threads` work-stealing workers.
+    fn open(
+        kernel: &'k Kernel,
+        cache: &'c HlsCache,
+        seed: u64,
+        configs: &[Directives],
+        threads: usize,
+    ) -> Result<Self, HlsError> {
+        let session = cache.session(kernel)?;
+        let baseline = session.run(&Directives::new())?.report.clone();
+        session.populate(configs, threads)?;
+        Ok(WarmSpace {
+            session,
+            stimuli: Stimuli::for_kernel(kernel, seed),
+            baseline,
+        })
+    }
+
+    /// Phase 2: applies `f` to the warm design of every config. Workers
+    /// pull configs off an atomic cursor, each recycling one
+    /// [`TraceScratch`] across every point it steals, and results are put
+    /// back in config order, so the output never depends on `threads`. A
+    /// worker's panic is re-raised on the calling thread.
+    ///
+    /// Every `session.run` here is a cache hit after phase 1, so the only
+    /// error possible is one phase 1 already returned.
+    fn assemble<R: Send>(
+        &self,
+        configs: &[Directives],
+        threads: usize,
+        f: impl Fn(&HlsDesign, &mut TraceScratch) -> R + Sync,
+    ) -> Result<Vec<R>, HlsError> {
+        let one = |d: &Directives, scratch: &mut TraceScratch| {
+            self.session.run(d).map(|design| f(&design, scratch))
+        };
+        if threads <= 1 || configs.len() < 4 {
+            let mut scratch = TraceScratch::new();
+            return configs.iter().map(|d| one(d, &mut scratch)).collect();
+        }
+        let cursor = AtomicUsize::new(0);
+        let mut done: Vec<(usize, Result<R, HlsError>)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads.min(configs.len()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut scratch = TraceScratch::new();
+                        let mut out = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(d) = configs.get(i) else { break out };
+                            out.push((i, one(d, &mut scratch)));
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        done.sort_unstable_by_key(|(i, _)| *i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }
 

@@ -35,9 +35,9 @@ pub mod splits;
 pub mod synthetic;
 
 pub use build::{
-    build_all, build_kernel_dataset, build_kernel_dataset_cached, build_sample,
-    build_sample_cached, sample_from_design, sample_from_design_in, DatasetConfig, KernelDataset,
-    PowerTarget, Sample,
+    build_all, build_graphs_cached, build_kernel_dataset, build_kernel_dataset_cached,
+    build_sample, build_sample_cached, sample_from_design, sample_from_design_in, DatasetConfig,
+    KernelDataset, PowerTarget, Sample,
 };
 pub use cache::{kernel_fingerprint, HlsCache, KernelSession};
 pub use polybench::{by_name, polybench, KERNEL_NAMES};

@@ -537,6 +537,9 @@ impl PowerGraph {
                 return Err("invalid edge feature".into());
             }
         }
+        if self.meta.iter().any(|v| !v.is_finite()) {
+            return Err("non-finite metadata feature".into());
+        }
         Ok(())
     }
 }
@@ -699,5 +702,28 @@ mod tests {
         let mut bad = g.clone();
         bad.edges[0].1 = 9;
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_metadata_is_invalid() {
+        let mut g = PowerGraph {
+            kernel: "k".into(),
+            design_id: "d".into(),
+            num_nodes: 1,
+            node_feats: vec![0.0; PowerGraph::NODE_FEATS],
+            edges: vec![],
+            edge_feats: vec![],
+            edge_rel: vec![],
+            meta: vec![1.0, -2.5, 0.0],
+        };
+        assert!(g.validate().is_ok());
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            g.meta[1] = v;
+            assert_eq!(
+                g.validate(),
+                Err("non-finite metadata feature".to_string()),
+                "meta {v}"
+            );
+        }
     }
 }

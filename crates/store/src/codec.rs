@@ -793,6 +793,23 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_metadata_is_rejected_at_decode() {
+        // Without the check, ReLU would turn a NaN/Inf metadata feature
+        // into a plausible watt figure downstream.
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut g = graph(7);
+            g.meta[4] = v;
+            let mut e = Enc::new();
+            enc_graph(&mut e, &g);
+            let bytes = e.into_bytes();
+            match dec_graph(&mut Dec::new(&bytes)) {
+                Err(StoreError::Corrupt { .. }) => {}
+                other => panic!("meta {v}: expected a corrupt-graph error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn counts_are_bounded_by_payload() {
         // a u32 count of u32::MAX with a tiny payload must not allocate
         let mut e = Enc::new();

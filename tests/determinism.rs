@@ -1,15 +1,19 @@
 //! Determinism smoke test: the full pipeline (dataset build → graph
 //! construction → one training epoch) must produce bit-identical metrics
 //! across two runs with the same `Rng64` seed, including with a parallel
-//! dataset build and with a shared memoizing HLS cache.
+//! dataset build and with a shared memoizing HLS cache, and the DSE
+//! estimator must give the same bits at any thread count.
 
 use powergear_repro::datasets::{
-    build_all, build_kernel_dataset, build_kernel_dataset_cached, polybench, DatasetConfig,
-    HlsCache, PowerTarget,
+    build_all, build_kernel_dataset, build_kernel_dataset_cached, polybench, sample_space,
+    DatasetConfig, HlsCache, PowerTarget,
 };
-use powergear_repro::gnn::{train_ensemble, ModelConfig, TrainConfig};
+use powergear_repro::gnn::{
+    train_ensemble, Ensemble, ModelConfig, PowerModel, ServeConfig, TrainConfig,
+};
 use powergear_repro::graphcon::PowerGraph;
 use powergear_repro::hls::{Directives, HlsFlow};
+use powergear_repro::powergear::{PowerEstimate, PowerGear};
 
 fn one_epoch_metrics() -> (Vec<u64>, u64) {
     let cfg = DatasetConfig {
@@ -195,4 +199,53 @@ fn one_training_epoch_is_bit_identical_across_runs() {
         "evaluation metric diverged between identical runs"
     );
     assert!(!preds1.is_empty());
+}
+
+/// Everything an estimate carries, with the wattages as bit patterns.
+fn estimate_bits(e: &PowerEstimate) -> (u64, u64, u64, usize) {
+    (
+        e.total_w.to_bits(),
+        e.dynamic_w.to_bits(),
+        e.latency_cycles,
+        e.graph_nodes,
+    )
+}
+
+/// `estimate_space_with` synthesizes and assembles graphs on work-stealing
+/// workers; at 1, 2 and 4 threads, each on a fresh cache, every estimate
+/// must carry the same bits as the per-point `estimate`.
+#[test]
+fn estimate_space_is_bit_identical_across_thread_counts() {
+    // Inference cost and determinism do not depend on training, so two
+    // freshly initialized members stand in for a fitted ensemble.
+    let ensemble = |seed: u64| Ensemble {
+        models: vec![
+            PowerModel::new(ModelConfig::hec(8), seed),
+            PowerModel::new(ModelConfig::hec(8), seed + 1),
+        ],
+    };
+    let gear = PowerGear {
+        total_model: ensemble(3),
+        dynamic_model: ensemble(11),
+    };
+    let kernel = polybench::atax(6);
+    let configs = sample_space(&kernel, 28, 5);
+    assert!(configs.len() >= 24, "only {} configs", configs.len());
+    let per_point: Vec<_> = configs
+        .iter()
+        .map(|d| estimate_bits(&gear.estimate(&kernel, d).expect("per-point estimate")))
+        .collect();
+    for threads in [1, 2, 4] {
+        let serve = ServeConfig::new(32, threads);
+        let space: Vec<_> = gear
+            .estimate_space_with(&kernel, &configs, &HlsCache::new(), &serve)
+            .expect("estimate_space")
+            .iter()
+            .map(estimate_bits)
+            .collect();
+        assert_eq!(
+            per_point, space,
+            "estimate_space diverged from per-point estimates at {threads} threads"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 //! ```text
 //! loadgen [--addr <host:port>] [--kernel bicg] [--size 10] [--samples 24]
 //!         [--clients 8] [--requests 32] [--graphs 4]
-//!         [--batch-deadline-us 500] [--max-batch 32] [--threads T]
+//!         [--max-batch 32] [--threads T]
 //!         [--overhead-check]
 //! ```
 //!
@@ -41,7 +41,6 @@ use powergear_bench::loadgen::{
 };
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
-use std::time::Duration;
 
 fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
     match args.iter().position(|a| a == flag) {
@@ -202,9 +201,6 @@ impl SelfHosted {
 
         let mut dcfg = DaemonConfig::new("127.0.0.1:0");
         dcfg.registry_dir = Some(reg_dir.clone());
-        if let Some(us) = arg_value(args, "--batch-deadline-us")? {
-            dcfg.batch_deadline = Duration::from_micros(us);
-        }
         if let Some(mb) = arg_value(args, "--max-batch")? {
             dcfg.max_batch = mb;
         }

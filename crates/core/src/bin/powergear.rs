@@ -24,7 +24,6 @@
 //! common flags:      --size <n>  (problem size, default 12)
 //! serve flags:       --threads <t>  (engine worker threads, default: cores)
 //! daemon flags:      --listen <addr>  --registry <dir>  --model <m.pgm>
-//!                    --batch-deadline-us <us> (default 500)
 //!                    --max-batch <graphs> (default 32)  --poll-ms <ms> (default 200)
 //!                    --metrics-listen <addr> (Prometheus text endpoint)
 //!                    --trace-out <file.jsonl> (per-request span traces)
@@ -112,7 +111,7 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
 }
 
 /// Every value-taking flag the CLI understands.
-const KNOWN_FLAGS: [&str; 26] = [
+const KNOWN_FLAGS: [&str; 25] = [
     "--arch",
     "--pool",
     "--layers",
@@ -132,7 +131,6 @@ const KNOWN_FLAGS: [&str; 26] = [
     "--seed",
     "--out",
     "--listen",
-    "--batch-deadline-us",
     "--max-batch",
     "--poll-ms",
     "--metrics-listen",
@@ -651,7 +649,6 @@ struct ServeCliConfig {
     model: Option<String>,
     registry: Option<String>,
     listen: Option<String>,
-    batch_deadline_us: u64,
     max_batch: usize,
     poll_ms: u64,
     metrics_listen: Option<String>,
@@ -668,7 +665,6 @@ fn parse_serve_config(args: &[String]) -> Result<ServeCliConfig, String> {
         model: flag_value(args, "--model")?,
         registry: flag_value(args, "--registry")?,
         listen: flag_value(args, "--listen")?,
-        batch_deadline_us: flag_value(args, "--batch-deadline-us")?.unwrap_or(500),
         max_batch: flag_value(args, "--max-batch")?.unwrap_or(32),
         poll_ms: flag_value(args, "--poll-ms")?.unwrap_or(200),
         metrics_listen: flag_value(args, "--metrics-listen")?,
@@ -701,7 +697,6 @@ fn cmd_serve_daemon(cfg: &ServeCliConfig) -> Result<(), String> {
     let listen = cfg.listen.clone().unwrap_or_default();
     let mut dcfg = DaemonConfig::new(listen);
     dcfg.max_batch = cfg.max_batch;
-    dcfg.batch_deadline = std::time::Duration::from_micros(cfg.batch_deadline_us);
     dcfg.poll_interval = std::time::Duration::from_millis(cfg.poll_ms.max(1));
     dcfg.threads = cfg.threads;
     dcfg.registry_dir = cfg.registry.clone().map(Into::into);
@@ -711,12 +706,11 @@ fn cmd_serve_daemon(cfg: &ServeCliConfig) -> Result<(), String> {
     let daemon = Daemon::bind(dcfg).map_err(|e| e.to_string())?;
     let models = daemon.models();
     eprintln!(
-        "[serve] listening on {} — {} model(s), batch ≤{} graphs / {}µs deadline, \
+        "[serve] listening on {} — {} model(s), batch ≤{} graphs, \
          {} engine thread(s), source poll {}ms",
         daemon.local_addr(),
         models.len(),
         cfg.max_batch,
-        cfg.batch_deadline_us,
         cfg.threads,
         cfg.poll_ms
     );

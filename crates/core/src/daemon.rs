@@ -8,23 +8,24 @@
 //! client ──TCP──▶ accept ──▶ connection handler (1 thread/conn)
 //!                               │  read_frame / decode PredictRequest
 //!                               ▼
-//!                         AdmissionQueue  ◀── micro-batching under a
-//!                               │              latency deadline
-//!                               ▼              (--batch-deadline-us,
-//!                         batcher thread        --max-batch)
-//!                               │  route kernel → model snapshot
+//!                         AdmissionQueue  ◀── work-conserving: takes all
+//!                               │              queued requests at once,
+//!                               ▼              up to --max-batch graphs
+//!                         batcher thread
+//!                               │  route kernel → model snapshot,
+//!                               │  reject wrong-width metadata
 //!                               ▼
-//!                         InferenceEngine (bit-identical to the
-//!                               │           sequential predict path)
-//!                               ▼
+//!                         predict_heads (member forwards of both heads
+//!                               │        on --threads workers; bit-identical
+//!                               ▼        to the sequential predict path)
 //!                         PredictResponse ──▶ handler ──TCP──▶ client
 //! ```
 //!
-//! Concurrent requests coalesce into engine batches (see
-//! [`pg_gnn::AdmissionQueue`]); because the engine is bit-identical for
-//! any batch composition, coalescing never changes a single bit of any
-//! response — the house determinism invariant is what makes deadline
-//! batching safe.
+//! The batcher never waits for company: a lone request dispatches as soon
+//! as it is queued, and requests that arrive while a batch runs coalesce
+//! into the next one (see [`pg_gnn::AdmissionQueue`]). Because inference
+//! is bit-identical for any batch composition, coalescing never changes a
+//! single bit of any response.
 //!
 //! # Model routing and hot swap
 //!
@@ -56,7 +57,7 @@
 //! ```
 
 use crate::PowerGear;
-use pg_gnn::{AdmissionQueue, BatchPolicy, ServeConfig};
+use pg_gnn::{AdmissionQueue, ServeConfig};
 use pg_graphcon::PowerGraph;
 use pg_store::frame::{self, error_code};
 use pg_store::{ModelArtifact, ModelInfo, ModelRegistry, StoreError};
@@ -77,16 +78,15 @@ pub struct DaemonConfig {
     /// Address to listen on, e.g. `127.0.0.1:7070` (port 0 picks a free
     /// port; see [`Daemon::local_addr`]).
     pub listen: String,
-    /// Graph-count weight at which a micro-batch dispatches immediately
-    /// (`--max-batch`).
+    /// Most graphs one batch carries (`--max-batch`). The batcher takes
+    /// everything queued up to this weight as soon as anything is queued;
+    /// a request is never split, so a larger one runs alone.
     pub max_batch: usize,
-    /// Longest a lone request waits for co-batching
-    /// (`--batch-deadline-us`).
-    pub batch_deadline: Duration,
     /// How often the model sources are rescanned for hot swap
     /// (`--poll-ms`).
     pub poll_interval: Duration,
-    /// Engine worker threads per micro-batch (`--threads`).
+    /// Inference worker threads per batch, the batcher thread included
+    /// (`--threads`); they share the batch's ensemble-member forwards.
     pub threads: usize,
     /// Registry directory of `.pgm` artifacts to route between
     /// (`--registry`).
@@ -103,16 +103,15 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// A config for `listen` with the default knobs: batch up to 32
-    /// graphs under a 500 µs deadline, poll sources every 200 ms, one
-    /// engine thread.
+    /// A config for `listen` with the default knobs: batches of up to 32
+    /// graphs, sources polled every 200 ms, one inference thread per
+    /// core (as [`ServeConfig::default`]).
     pub fn new(listen: impl Into<String>) -> DaemonConfig {
         DaemonConfig {
             listen: listen.into(),
             max_batch: 32,
-            batch_deadline: Duration::from_micros(500),
             poll_interval: Duration::from_millis(200),
-            threads: 1,
+            threads: ServeConfig::default().threads,
             registry_dir: None,
             model_path: None,
             metrics_listen: None,
@@ -456,7 +455,7 @@ impl Daemon {
             None => None,
         };
         let (catalog, _, load_errors) = rescan(&cfg, &Catalog::default());
-        let queue = AdmissionQueue::new(BatchPolicy::new(cfg.max_batch, cfg.batch_deadline));
+        let queue = AdmissionQueue::new(cfg.max_batch);
         let serve_metrics = ServeMetrics::resolve();
         serve_metrics.load_errors_total.add(load_errors);
         let shared = Arc::new(Shared {
@@ -755,21 +754,25 @@ fn batcher_loop(shared: &Shared) {
         // name → (model, jobs) preserving FIFO job order within a group.
         let mut groups: BTreeMap<String, (Arc<LoadedModel>, Vec<Job>)> = BTreeMap::new();
         for job in jobs {
-            match catalog.route(&job.kernel) {
-                Some(model) => {
-                    groups
-                        .entry(model.name.clone())
-                        .or_insert_with(|| (model, Vec::new()))
-                        .1
-                        .push(job);
-                }
-                None => {
+            let routed = match catalog.route(&job.kernel) {
+                None => Err((
+                    error_code::NO_MODEL,
+                    format!("no loaded model serves kernel `{}`", job.kernel),
+                )),
+                Some(model) => match metadata_mismatch(&model, &job.graphs) {
+                    Some(message) => Err((error_code::BAD_REQUEST, message)),
+                    None => Ok(model),
+                },
+            };
+            match routed {
+                Ok(model) => groups
+                    .entry(model.name.clone())
+                    .or_insert_with(|| (model, Vec::new()))
+                    .1
+                    .push(job),
+                Err((code, message)) => {
                     shared.record_error();
-                    let f = error_frame(
-                        error_code::NO_MODEL,
-                        format!("no loaded model serves kernel `{}`", job.kernel),
-                    );
-                    let _ = job.reply.send(f);
+                    let _ = job.reply.send(error_frame(code, message));
                 }
             }
         }
@@ -778,6 +781,27 @@ fn batcher_loop(shared: &Shared) {
             execute_group(shared, &name, &model, jobs, pulled_us, routed_us);
         }
     }
+}
+
+/// Why `model` cannot serve `graphs`, if it cannot: the first graph whose
+/// metadata width differs from what a member that reads metadata expects.
+/// Checked per request at routing time, so the answer never depends on
+/// which other requests share the batch.
+fn metadata_mismatch(model: &LoadedModel, graphs: &[PowerGraph]) -> Option<String> {
+    let heads = [&model.gear.total_model, &model.gear.dynamic_model];
+    graphs.iter().enumerate().find_map(|(i, g)| {
+        let expected = heads
+            .iter()
+            .flat_map(|h| &h.models)
+            .map(|m| &m.config)
+            .find(|c| c.use_metadata && c.meta_dim != g.meta.len())?
+            .meta_dim;
+        Some(format!(
+            "graph {i} carries {} metadata values; model `{}` expects {expected}",
+            g.meta.len(),
+            model.name
+        ))
+    })
 }
 
 /// Runs one model's share of a micro-batch through the engine and fans
@@ -982,7 +1006,6 @@ mod tests {
     fn daemon_on(dir: &Path) -> DaemonHandle {
         let mut cfg = DaemonConfig::new("127.0.0.1:0");
         cfg.registry_dir = Some(dir.to_path_buf());
-        cfg.batch_deadline = Duration::from_micros(200);
         cfg.poll_interval = Duration::from_millis(25);
         Daemon::bind(cfg).unwrap().spawn()
     }
@@ -1179,7 +1202,6 @@ mod tests {
         let trace_path = dir.join("traces.jsonl");
         let mut cfg = DaemonConfig::new("127.0.0.1:0");
         cfg.registry_dir = Some(dir.clone());
-        cfg.batch_deadline = Duration::from_micros(200);
         cfg.metrics_listen = Some("127.0.0.1:0".into());
         cfg.trace_out = Some(trace_path.clone());
         let daemon = Daemon::bind(cfg).unwrap();

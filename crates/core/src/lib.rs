@@ -34,7 +34,7 @@ pub mod daemon;
 pub mod eval;
 
 use pg_datasets::{build_graphs_cached, HlsCache, KernelDataset, PowerTarget};
-use pg_gnn::{map_batches, Ensemble, ModelConfig, ServeConfig, TrainConfig};
+use pg_gnn::{predict_heads, Ensemble, ModelConfig, ServeConfig, TrainConfig};
 use pg_graphcon::PowerGraph;
 use pg_hls::{Directives, HlsError, HlsReport};
 use pg_ir::Kernel;
@@ -237,19 +237,18 @@ impl PowerGear {
         self.estimate_graphs_with(graphs, &ServeConfig::default())
     }
 
-    /// [`PowerGear::estimate_graphs`] with explicit batching/parallelism.
+    /// [`PowerGear::estimate_graphs`] with explicit batching/parallelism:
+    /// one [`predict_heads`] pass over both target ensembles, so each
+    /// chunk's batch is assembled once and every member forward of both
+    /// heads is a task for the `serve.threads` workers.
     pub fn estimate_graphs_with(
         &self,
         graphs: &[&PowerGraph],
         serve: &ServeConfig,
     ) -> Vec<(f64, f64)> {
-        // One batch per chunk feeds both target ensembles.
-        let (preds, _) = map_batches(graphs, serve, |batch| {
-            let total = self.total_model.predict_batch(batch);
-            let dynamic = self.dynamic_model.predict_batch(batch);
-            total.into_iter().zip(dynamic).collect()
-        });
-        preds
+        let ([total, dynamic], _) =
+            predict_heads([&self.total_model, &self.dynamic_model], graphs, serve);
+        total.into_iter().zip(dynamic).collect()
     }
 
     /// Estimates a whole set of design points of one kernel — the DSE

@@ -140,6 +140,26 @@ fn bad_zoo_flag_values_fail_loudly() {
 }
 
 #[test]
+fn removed_batch_deadline_flag_fails_loudly() {
+    let out = powergear()
+        .args([
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--batch-deadline-us",
+            "500",
+        ])
+        .output()
+        .expect("run powergear");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag `--batch-deadline-us`"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn eval_rejects_positional_arguments() {
     let out = powergear()
         .args(["eval", "atax", "--loko"])

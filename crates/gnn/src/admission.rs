@@ -1,115 +1,82 @@
-//! Admission queue with micro-batching under a latency deadline — the
-//! many-clients front half of the serving daemon.
+//! Work-conserving admission queue — the many-clients front half of the
+//! serving daemon.
 //!
 //! Concurrent connection handlers [`AdmissionQueue::push`] jobs as they
-//! arrive; a single batcher thread pulls coalesced batches with
-//! [`AdmissionQueue::next_batch`]. A batch closes when either
-//!
-//! * the queued **weight** (graphs, for the daemon) reaches
-//!   [`BatchPolicy::max_weight`], or
-//! * [`BatchPolicy::deadline`] has elapsed since the *oldest queued* item
-//!   arrived — bounding the latency a lone request can pay waiting for
-//!   company.
+//! arrive; a single batcher thread pulls batches with
+//! [`AdmissionQueue::next_batch`]. The one rule is that nothing ready to
+//! run waits: `next_batch` blocks only while the queue is empty, and once
+//! anything is queued it takes everything queued, up to the queue's
+//! `max_weight` (graphs, for the daemon), at once. A lone request
+//! therefore dispatches immediately, and requests that arrive while a
+//! batch runs coalesce into the next one, so batches grow with load on
+//! their own — no timer is involved.
 //!
 //! Items are never split across batches and always dispatch in FIFO
 //! arrival order, so a multi-graph request stays one atomic unit (the
 //! hot-swap "no mixed-model response" guarantee builds on this). Batch
 //! *composition* depends on arrival timing, but downstream arithmetic does
 //! not: the [`crate::InferenceEngine`] is bit-identical for any batch
-//! shape, which is what makes deadline-based coalescing safe under the
-//! workspace's determinism invariant (`docs/ARCHITECTURE.md` shows where
-//! this sits in the daemon's request lifecycle).
+//! shape, which is what makes coalescing safe under the workspace's
+//! determinism invariant (`docs/ARCHITECTURE.md` shows where this sits in
+//! the daemon's request lifecycle).
 //!
 //! # Examples
 //!
 //! ```
-//! use pg_gnn::{AdmissionQueue, BatchPolicy};
-//! use std::time::Duration;
+//! use pg_gnn::AdmissionQueue;
 //!
-//! let q = AdmissionQueue::new(BatchPolicy {
-//!     max_weight: 32,
-//!     deadline: Duration::from_micros(500),
-//! });
-//! q.push("job", 4);
+//! let q = AdmissionQueue::new(32);
+//! q.push("first", 4);
+//! q.push("second", 2);
+//! // Both are queued, so both dispatch together, without waiting.
+//! assert_eq!(q.next_batch(), Some(vec!["first", "second"]));
 //! q.close();
-//! assert_eq!(q.next_batch(), Some(vec!["job"]));
 //! assert_eq!(q.next_batch(), None);
 //! ```
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-// pg-lint: allow(wall_clock, reason = "import only; deadline arithmetic sites are annotated below — timing steers batch composition, never model math (engine is bit-identical for any batch shape)")
-use std::time::{Duration, Instant};
-
-/// When a batch closes: at `max_weight`, or `deadline` after the oldest
-/// queued item arrived, whichever comes first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Weight (e.g. graphs) at which a batch dispatches immediately.
-    pub max_weight: usize,
-    /// Longest an admitted item waits for co-batching.
-    pub deadline: Duration,
-}
-
-impl BatchPolicy {
-    /// A policy with explicit knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_weight` is zero.
-    pub fn new(max_weight: usize, deadline: Duration) -> Self {
-        assert!(max_weight > 0, "max batch weight must be positive");
-        BatchPolicy {
-            max_weight,
-            deadline,
-        }
-    }
-}
 
 struct Queued<T> {
     item: T,
     weight: usize,
-    // pg-lint: allow(wall_clock, reason = "arrival timestamp only feeds the admission deadline; batch composition never changes the served arithmetic")
-    arrived: Instant,
 }
 
 struct State<T> {
     items: VecDeque<Queued<T>>,
-    /// Sum of queued weights (kept incrementally; avoids O(n) scans).
-    pending_weight: usize,
     closed: bool,
 }
 
-/// A thread-safe admission queue that coalesces pushed items into batches
-/// under [`BatchPolicy`]. See the module docs for the dispatch rules.
+/// A thread-safe admission queue that hands out everything queued, up to
+/// a weight cap, as one batch. See the module docs for the dispatch rule.
 pub struct AdmissionQueue<T> {
-    policy: BatchPolicy,
+    max_weight: usize,
     state: Mutex<State<T>>,
     cv: Condvar,
 }
 
 impl<T> AdmissionQueue<T> {
-    /// An empty queue with the given policy.
-    pub fn new(policy: BatchPolicy) -> Self {
+    /// An empty queue whose batches hold at most `max_weight` (unless one
+    /// item alone is heavier).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_weight` is zero.
+    pub fn new(max_weight: usize) -> Self {
+        assert!(max_weight > 0, "max batch weight must be positive");
         AdmissionQueue {
-            policy,
+            max_weight,
             state: Mutex::new(State {
                 items: VecDeque::new(),
-                pending_weight: 0,
                 closed: false,
             }),
             cv: Condvar::new(),
         }
     }
 
-    /// The dispatch policy.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
     fn lock(&self) -> MutexGuard<'_, State<T>> {
         // A poisoned mutex means a producer panicked while holding the
-        // lock; the queue state itself (a VecDeque + counters) is still
+        // lock; the queue state itself (a VecDeque + a flag) is still
         // coherent, and a daemon must keep serving the other connections.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -121,16 +88,12 @@ impl<T> AdmissionQueue<T> {
         if st.closed {
             return false;
         }
-        let weight = weight.max(1);
-        st.pending_weight += weight;
         st.items.push_back(Queued {
             item,
-            weight,
-            // pg-lint: allow(wall_clock, reason = "deadline bookkeeping for admission scheduling; see module docs — never feeds model arithmetic")
-            arrived: Instant::now(),
+            weight: weight.max(1),
         });
         drop(st);
-        self.cv.notify_all();
+        self.cv.notify_one();
         true
     }
 
@@ -152,57 +115,29 @@ impl<T> AdmissionQueue<T> {
         self.lock().items.len()
     }
 
-    /// Blocks until a batch is ready and returns it in FIFO order, or
-    /// `None` when the queue is closed and drained. A batch holds at least
-    /// one item; items are never split, so one oversized item dispatches
-    /// alone.
+    /// Blocks while the queue is empty, then returns everything queued up
+    /// to `max_weight`, in FIFO order — or `None` once the queue is closed
+    /// and drained. A batch holds at least one item; items are never
+    /// split, so one oversized item dispatches alone.
     pub fn next_batch(&self) -> Option<Vec<T>> {
         let mut st = self.lock();
-        loop {
-            if st.items.is_empty() {
-                if st.closed {
-                    return None;
-                }
-                st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-                continue;
+        while st.items.is_empty() {
+            if st.closed {
+                return None;
             }
-            if st.closed || st.pending_weight >= self.policy.max_weight {
-                break; // dispatch now: full batch, or draining after close
-            }
-            // Wait out the remainder of the oldest item's deadline; a new
-            // push can still complete the batch early.
-            let oldest = st.items[0].arrived;
-            // pg-lint: allow(wall_clock, reason = "deadline check for admission scheduling; see module docs — never feeds model arithmetic")
-            let now = Instant::now();
-            let Some(remaining) = (oldest + self.policy.deadline).checked_duration_since(now)
-            else {
-                break; // deadline expired
-            };
-            if remaining.is_zero() {
-                break;
-            }
-            let (guard, _timeout) = self
-                .cv
-                .wait_timeout(st, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-
         let mut batch = Vec::new();
         let mut weight = 0usize;
         while let Some(front) = st.items.front() {
-            if !batch.is_empty() && weight + front.weight > self.policy.max_weight {
+            if !batch.is_empty() && weight + front.weight > self.max_weight {
                 break;
             }
             let Some(q) = st.items.pop_front() else {
                 break;
             };
             weight += q.weight;
-            st.pending_weight -= q.weight;
             batch.push(q.item);
-            if weight >= self.policy.max_weight {
-                break;
-            }
         }
         Some(batch)
     }
@@ -211,7 +146,7 @@ impl<T> AdmissionQueue<T> {
 impl<T> std::fmt::Debug for AdmissionQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AdmissionQueue")
-            .field("policy", &self.policy)
+            .field("max_weight", &self.max_weight)
             .field("pending", &self.pending())
             .field("closed", &self.is_closed())
             .finish()
@@ -223,30 +158,30 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn policy(max_weight: usize, deadline_ms: u64) -> BatchPolicy {
-        BatchPolicy::new(max_weight, Duration::from_millis(deadline_ms))
-    }
-
     #[test]
-    fn weight_threshold_dispatches_without_deadline() {
-        // Deadline is far away; reaching max_weight must dispatch at once.
-        let q = AdmissionQueue::new(policy(4, 60_000));
-        q.push('a', 2);
-        q.push('b', 2);
-        assert_eq!(q.next_batch(), Some(vec!['a', 'b']));
-    }
-
-    #[test]
-    fn deadline_flushes_a_lone_item() {
-        let q = AdmissionQueue::new(policy(1_000, 10));
+    fn lone_item_dispatches_without_waiting() {
+        // Far below max_weight, and nothing else will ever arrive: the
+        // item must come straight back (a wait here would hang the test).
+        let q = AdmissionQueue::new(1_000);
         q.push(7u32, 1);
-        let batch = q.next_batch();
-        assert_eq!(batch, Some(vec![7]));
+        assert_eq!(q.next_batch(), Some(vec![7]));
+        assert_eq!(q.pending(), 0);
+    }
+
+    #[test]
+    fn queued_items_coalesce_up_to_max_weight() {
+        let q = AdmissionQueue::new(4);
+        for c in ['a', 'b', 'c', 'd', 'e', 'f'] {
+            q.push(c, 1);
+        }
+        assert_eq!(q.next_batch(), Some(vec!['a', 'b', 'c', 'd']));
+        assert_eq!(q.next_batch(), Some(vec!['e', 'f']));
+        assert_eq!(q.pending(), 0);
     }
 
     #[test]
     fn items_are_never_split_and_stay_fifo() {
-        let q = AdmissionQueue::new(policy(4, 60_000));
+        let q = AdmissionQueue::new(4);
         q.push("first", 3);
         q.push("second", 3);
         q.push("third", 1);
@@ -259,7 +194,7 @@ mod tests {
 
     #[test]
     fn oversized_item_dispatches_alone() {
-        let q = AdmissionQueue::new(policy(4, 60_000));
+        let q = AdmissionQueue::new(4);
         q.push("huge", 100);
         q.push("next", 1);
         q.close();
@@ -270,7 +205,7 @@ mod tests {
 
     #[test]
     fn close_rejects_pushes_and_drains() {
-        let q = AdmissionQueue::new(policy(8, 60_000));
+        let q = AdmissionQueue::new(8);
         assert!(q.push(1, 1));
         q.close();
         assert!(!q.push(2, 1), "closed queue must reject pushes");
@@ -281,7 +216,7 @@ mod tests {
 
     #[test]
     fn zero_weight_counts_as_one() {
-        let q = AdmissionQueue::new(policy(2, 60_000));
+        let q = AdmissionQueue::new(2);
         q.push('x', 0);
         q.push('y', 0);
         assert_eq!(q.next_batch(), Some(vec!['x', 'y']));
@@ -289,7 +224,7 @@ mod tests {
 
     #[test]
     fn concurrent_producers_lose_nothing() {
-        let q = Arc::new(AdmissionQueue::new(policy(8, 5)));
+        let q = Arc::new(AdmissionQueue::new(8));
         let producers: Vec<_> = (0..4)
             .map(|p| {
                 let q = Arc::clone(&q);
@@ -327,6 +262,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "max batch weight must be positive")]
     fn zero_max_weight_rejected() {
-        BatchPolicy::new(0, Duration::from_millis(1));
+        AdmissionQueue::<()>::new(0);
     }
 }

@@ -36,10 +36,10 @@ pub mod serve;
 pub mod train;
 
 pub use ablation::{table2_variants, zoo_variants, Variant};
-pub use admission::{AdmissionQueue, BatchPolicy};
+pub use admission::AdmissionQueue;
 pub use batch::{GraphBatch, RelEdges};
 pub use model::{Arch, ModelConfig, Pool, PowerModel};
-pub use serve::{map_batches, InferenceEngine, ServeConfig, ServeStats};
+pub use serve::{predict_heads, InferenceEngine, ServeConfig, ServeStats};
 pub use train::{
     evaluate_model, train_ensemble, train_ensemble_with, train_single, Ensemble, LabelNorm,
     MemberTrained, TrainConfig,

@@ -2,23 +2,31 @@
 //!
 //! PowerGear's DSE loop (§IV-C) calls the power model once per candidate
 //! design point; [`Ensemble::predict`] assembles one batch and walks every
-//! member sequentially. [`map_batches`] is the throughput layer on top: it
-//! groups the input graphs into [`GraphBatch`]es of a configurable size,
-//! shards the batches across worker threads with `std::thread::scope`
-//! (mirroring the data-parallel training loop in `train`), and returns the
-//! outputs in input order. Each batch is assembled once, however many
-//! ensembles read it: `PowerGear` predicts total and dynamic power from
-//! the same batch. [`InferenceEngine`] is `map_batches` over one ensemble.
+//! member sequentially. [`predict_heads`] is the throughput layer on top,
+//! and the one scheduler every batched caller shares: [`InferenceEngine`]
+//! passes it one ensemble, `PowerGear` passes its total and dynamic power
+//! heads together.
 //!
-//! Every batch runs through [`Ensemble::predict_batch`], the same tape-free
+//! The input graphs are cut into chunks of `batch_size`, and the **unit of
+//! work is one (chunk, ensemble member) forward**, across every head
+//! passed in. Workers pull tasks in chunk-major order from one atomic
+//! cursor; the calling thread is one of them, so `threads = 2` costs one
+//! spawn. Each chunk's [`GraphBatch`] is assembled once, by the first
+//! task that needs it, and read by every member of every head. A single
+//! chunk — the serving daemon's usual batch — therefore still spreads its
+//! member forwards over all `threads` cores.
+//!
+//! Every task runs [`PowerModel::predict_batch`], the same tape-free
 //! evaluator every other prediction uses, so there is one inference path.
-//! Every per-graph computation in the forward pass — row-wise matmuls,
+//! Each head's members are then summed in member order and divided by the
+//! member count, exactly as [`Ensemble::predict_batch`] does. Every
+//! per-graph computation in the forward pass — row-wise matmuls,
 //! per-destination scatter adds over a graph's own contiguous nodes and
 //! edges, element-wise activations — is independent of which other graphs
-//! share the batch, so the engine's output is **bit-identical** to the
-//! sequential path for any batch size and thread count (enforced by the
-//! workspace's parity property test). Evaluator arenas are per thread: a
-//! caller that serves request after request from one thread reuses them.
+//! share the batch, so the output is **bit-identical** to the sequential
+//! path for any batch size and thread count (enforced by the workspace's
+//! parity property test). Evaluator arenas are per thread: the calling
+//! thread, which serves request after request, reuses its own.
 //!
 //! # Examples
 //!
@@ -31,8 +39,11 @@
 //! ```
 
 use crate::batch::GraphBatch;
+use crate::model::PowerModel;
 use crate::train::Ensemble;
 use pg_graphcon::PowerGraph;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 // pg-lint: allow(wall_clock, reason = "import only; the single use site is the telemetry timer annotated below")
 use std::time::Instant;
 
@@ -41,7 +52,8 @@ use std::time::Instant;
 pub struct ServeConfig {
     /// Graphs grouped into one [`GraphBatch`] (tensor-op granularity).
     pub batch_size: usize,
-    /// Worker threads batches are sharded across (1 = sequential).
+    /// Worker threads, the calling thread included, that share the
+    /// (chunk, member) forwards (1 = sequential).
     pub threads: usize,
 }
 
@@ -78,14 +90,15 @@ impl Default for ServeConfig {
     }
 }
 
-/// Counters from one [`map_batches`] call.
+/// Counters from one [`predict_heads`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeStats {
     /// Graphs served.
     pub graphs: usize,
     /// Batches formed.
     pub batches: usize,
-    /// Worker threads actually spawned (capped by the batch count).
+    /// Worker threads that ran, the calling thread included (capped by
+    /// the number of (chunk, member) forwards).
     pub threads_used: usize,
     /// Wall-clock seconds spent serving.
     pub seconds: f64,
@@ -141,63 +154,90 @@ impl<'a> InferenceEngine<'a> {
 
     /// [`InferenceEngine::predict`] plus serving counters.
     pub fn predict_with_stats(&self, graphs: &[&PowerGraph]) -> (Vec<f64>, ServeStats) {
-        assert!(
-            graphs.is_empty() || !self.ensemble.models.is_empty(),
-            "empty ensemble"
-        );
-        map_batches(graphs, &self.config, |batch| {
-            self.ensemble.predict_batch(batch)
-        })
+        let ([watts], stats) = predict_heads([self.ensemble], graphs, &self.config);
+        (watts, stats)
     }
 }
 
-/// Runs `per_batch` over `graphs` grouped into [`GraphBatch`]es of
-/// `config.batch_size`, sharded across up to `config.threads` workers.
-/// `per_batch` returns one output per graph of its batch; the outputs come
-/// back in input order, with serving counters.
-pub fn map_batches<T: Send>(
+/// Mean prediction of every head in `heads` for every graph, in input
+/// order, with serving counters. `graphs` is cut into chunks of
+/// `config.batch_size`, and each (chunk, member) forward is one task for
+/// up to `config.threads` workers, the calling thread among them (see the
+/// module docs). Each head's output is bit-identical to
+/// [`Ensemble::predict`] on the same graphs.
+///
+/// # Panics
+///
+/// Panics if `graphs` is not empty and a head has no members (matching
+/// [`Ensemble::predict`]), and re-raises a panic from any worker.
+pub fn predict_heads<const H: usize>(
+    heads: [&Ensemble; H],
     graphs: &[&PowerGraph],
     config: &ServeConfig,
-    per_batch: impl Fn(&GraphBatch) -> Vec<T> + Sync,
-) -> (Vec<T>, ServeStats) {
+) -> ([Vec<f64>; H], ServeStats) {
+    assert!(
+        graphs.is_empty() || heads.iter().all(|h| !h.models.is_empty()),
+        "empty ensemble"
+    );
     // pg-lint: allow(wall_clock, reason = "serving telemetry (ServeStats.seconds); never feeds model math or artifacts")
     let t0 = Instant::now();
-    let batches: Vec<&[&PowerGraph]> = graphs.chunks(config.batch_size.max(1)).collect();
-    // Contiguous shards of the batch list preserve input order when
-    // worker outputs are concatenated back in spawn order; the actual
-    // worker count is ceil(batches / shard), which can be below
-    // `threads` when the shards don't divide evenly.
-    let shard = batches.len().div_ceil(config.threads.max(1)).max(1);
-    let workers = batches.len().div_ceil(shard);
-    let run = |group: &[&[&PowerGraph]]| -> Vec<T> {
-        let mut out = Vec::new();
-        for chunk in group {
-            let targets = vec![0.0; chunk.len()];
-            out.extend(per_batch(&GraphBatch::new(chunk, &targets)));
+    let chunks: Vec<&[&PowerGraph]> = graphs.chunks(config.batch_size.max(1)).collect();
+    // Every member of every head, head by head, in member order.
+    let members: Vec<&PowerModel> = heads.iter().flat_map(|h| &h.models).collect();
+    let tasks = chunks.len() * members.len();
+    let batches: Vec<OnceLock<GraphBatch>> = chunks.iter().map(|_| OnceLock::new()).collect();
+    let outputs: Vec<OnceLock<Vec<f64>>> = (0..tasks).map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(0);
+    let work = || loop {
+        let task = cursor.fetch_add(1, Ordering::Relaxed);
+        if task >= tasks {
+            return;
         }
-        out
+        let (c, m) = (task / members.len(), task % members.len());
+        let batch =
+            batches[c].get_or_init(|| GraphBatch::new(chunks[c], &vec![0.0; chunks[c].len()]));
+        outputs[task].get_or_init(|| members[m].predict_batch(batch));
     };
-
-    let outputs: Vec<T> = if workers <= 1 {
-        run(&batches)
+    let workers = config.threads.max(1).min(tasks);
+    if workers <= 1 {
+        work();
     } else {
+        // The scope joins every worker and re-raises the first panic.
         std::thread::scope(|scope| {
-            let run = &run;
-            let handles: Vec<_> = batches
-                .chunks(shard)
-                .map(|group| scope.spawn(move || run(group)))
-                .collect();
-            handles
-                .into_iter()
-                // pg-lint: allow(panic_path, reason = "a panicked worker holds no recoverable state; swallowing the join error would silently drop a shard of predictions")
-                .flat_map(|h| h.join().expect("inference worker panicked"))
-                .collect()
-        })
-    };
+            for _ in 1..workers {
+                scope.spawn(&work);
+            }
+            work();
+        });
+    }
+
+    // Per head and chunk: sum the members in member order, then divide —
+    // the reduction `Ensemble::predict_batch` performs.
+    let mut first_member = 0;
+    let preds = heads.map(|head| {
+        let n = head.models.len();
+        let mut out = Vec::with_capacity(graphs.len());
+        for (c, chunk) in chunks.iter().enumerate() {
+            let mut acc = vec![0.0f64; chunk.len()];
+            for m in first_member..first_member + n {
+                let slot = &outputs[c * members.len() + m];
+                // pg-lint: allow(panic_path, reason = "every task below `tasks` is claimed by exactly one worker and the scope above joined them all, so every slot is set")
+                let member = slot.get().expect("every task ran");
+                for (a, p) in acc.iter_mut().zip(member) {
+                    *a += p;
+                }
+            }
+            // pg-lint: allow(float_cast, reason = "exact member count; the reduction runs on the calling thread after every worker joined, in fixed member order")
+            let count = n as f64;
+            out.extend(acc.into_iter().map(|a| a / count));
+        }
+        first_member += n;
+        out
+    });
 
     let stats = ServeStats {
         graphs: graphs.len(),
-        batches: batches.len(),
+        batches: chunks.len(),
         threads_used: workers,
         seconds: t0.elapsed().as_secs_f64(),
     };
@@ -210,7 +250,7 @@ pub fn map_batches<T: Send>(
         )
         .observe((stats.seconds * 1e6) as u64);
     }
-    (outputs, stats)
+    (preds, stats)
 }
 
 impl Ensemble {
@@ -277,7 +317,9 @@ mod tests {
         let refs: Vec<&PowerGraph> = graphs.iter().collect();
         let ens = ensemble(3);
         let seq = ens.predict(&refs);
-        for (bs, threads) in [(1, 1), (3, 1), (4, 2), (13, 2), (2, 4), (64, 3)] {
+        // (13, 2), (13, 4) and (64, 3) are single-chunk inputs, whose
+        // member forwards alone are spread over the workers.
+        for (bs, threads) in [(1, 1), (3, 1), (4, 2), (13, 2), (13, 4), (2, 4), (64, 3)] {
             let engine = InferenceEngine::with_config(&ens, ServeConfig::new(bs, threads));
             let got = engine.predict(&refs);
             let a: Vec<u64> = seq.iter().map(|v| v.to_bits()).collect();
@@ -313,12 +355,12 @@ mod tests {
         let graphs: Vec<PowerGraph> = (0..10).map(graph).collect();
         let refs: Vec<&PowerGraph> = graphs.iter().collect();
         let ens = ensemble(2);
-        let engine = InferenceEngine::with_config(&ens, ServeConfig::new(3, 8));
+        let engine = InferenceEngine::with_config(&ens, ServeConfig::new(3, 16));
         let (preds, stats) = engine.predict_with_stats(&refs);
         assert_eq!(preds.len(), 10);
         assert_eq!(stats.graphs, 10);
         assert_eq!(stats.batches, 4); // ceil(10 / 3)
-        assert_eq!(stats.threads_used, 4); // capped by the batch count
+        assert_eq!(stats.threads_used, 8); // capped by 4 chunks × 2 members
         assert!(stats.seconds >= 0.0);
         assert!(stats.graphs_per_sec() > 0.0);
     }

@@ -115,9 +115,10 @@ impl Ensemble {
         self.predict_batch(&GraphBatch::new(graphs, &targets))
     }
 
-    /// Mean member prediction on an assembled batch, so callers that
-    /// serve several ensembles (the total and dynamic power heads) build
-    /// each batch once. Every member runs [`PowerModel::predict_batch`].
+    /// Mean member prediction on an assembled batch: every member runs
+    /// [`PowerModel::predict_batch`], and the outputs are summed in member
+    /// order and divided by the member count — the sequential reference
+    /// that [`crate::predict_heads`] reproduces bit for bit.
     pub fn predict_batch(&self, batch: &GraphBatch) -> Vec<f64> {
         assert!(!self.models.is_empty(), "empty ensemble");
         let mut acc = vec![0.0f64; batch.num_graphs];

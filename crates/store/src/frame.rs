@@ -280,7 +280,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<RawFrame>, StoreError> {
 
 /// Error codes carried by [`ErrorFrame`].
 pub mod error_code {
-    /// The request frame failed to decode (bad payload).
+    /// The request frame failed to decode (bad payload), or its graphs do
+    /// not fit the routed model (metadata width).
     pub const BAD_REQUEST: u16 = 1;
     /// The frame type tag is unknown to this server.
     pub const UNKNOWN_TYPE: u16 = 2;

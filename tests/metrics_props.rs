@@ -314,7 +314,6 @@ fn publish(dir: &Path, name: &str, kernel: &str, gear: &PowerGear) {
 fn daemon_on(dir: &Path) -> DaemonHandle {
     let mut cfg = DaemonConfig::new("127.0.0.1:0");
     cfg.registry_dir = Some(dir.to_path_buf());
-    cfg.batch_deadline = Duration::from_micros(200);
     cfg.poll_interval = Duration::from_millis(10);
     Daemon::bind(cfg).unwrap().spawn()
 }

@@ -1,12 +1,15 @@
 //! Property test for the serving layer: [`InferenceEngine`] output must be
 //! **bit-identical** to the sequential prediction path for arbitrary batch
 //! sizes and thread counts (including 1), both against one full-slice
-//! `Ensemble::predict` call and against per-graph calls.
+//! `Ensemble::predict` call and against per-graph calls — and so must
+//! `PowerGear::estimate_graphs_with`, which runs both heads through the
+//! same scheduler.
 
 use proptest::prelude::*;
 
 use powergear_repro::gnn::{Ensemble, InferenceEngine, ModelConfig, PowerModel, ServeConfig};
 use powergear_repro::graphcon::{PowerGraph, Relation};
+use powergear_repro::powergear::PowerGear;
 use powergear_repro::util::Rng64;
 
 /// A deterministic random valid graph (10-wide metadata, mixed relations).
@@ -96,6 +99,18 @@ proptest! {
             bits(&batched),
             "per-graph divergence at n={} bs={} t={}", n_graphs, batch_size, threads
         );
+
+        // One chunk holding every graph: only the member forwards are
+        // left to spread over the workers.
+        for single_chunk_threads in [2, 4] {
+            let config = ServeConfig::new(n_graphs, single_chunk_threads);
+            let one_chunk = InferenceEngine::with_config(&ensemble, config).predict(&refs);
+            prop_assert_eq!(
+                bits(&sequential),
+                bits(&one_chunk),
+                "single-chunk divergence at n={} t={}", n_graphs, single_chunk_threads
+            );
+        }
     }
 
     /// Serving twice with different configurations is self-consistent:
@@ -112,5 +127,28 @@ proptest! {
         let a = InferenceEngine::with_config(&ensemble, ServeConfig::new(1, 4)).predict(&refs);
         let b = InferenceEngine::with_config(&ensemble, ServeConfig::new(64, 1)).predict(&refs);
         prop_assert_eq!(bits(&a), bits(&b));
+    }
+}
+
+/// Both heads through one scheduler pass equal each head's own
+/// `Ensemble::predict`, bit for bit, at every thread count and for batch
+/// sizes from one graph per chunk to one chunk for everything.
+#[test]
+fn estimate_graphs_with_matches_per_head_predict() {
+    let graphs: Vec<PowerGraph> = (0..40).map(|i| synth_graph(7_000 + i)).collect();
+    let refs: Vec<&PowerGraph> = graphs.iter().collect();
+    let gear = PowerGear {
+        total_model: synth_ensemble(3, 11),
+        dynamic_model: synth_ensemble(2, 29),
+    };
+    let total = bits(&gear.total_model.predict(&refs));
+    let dynamic = bits(&gear.dynamic_model.predict(&refs));
+    for threads in [1, 2, 4] {
+        for batch_size in [1, 7, 32, 64] {
+            let preds = gear.estimate_graphs_with(&refs, &ServeConfig::new(batch_size, threads));
+            let (t, d): (Vec<f64>, Vec<f64>) = preds.into_iter().unzip();
+            assert_eq!(bits(&t), total, "total at t={threads} bs={batch_size}");
+            assert_eq!(bits(&d), dynamic, "dynamic at t={threads} bs={batch_size}");
+        }
     }
 }

@@ -94,7 +94,6 @@ fn publish(dir: &Path, name: &str, kernel: &str, gear: &PowerGear, fp: u64) {
 fn daemon_on(dir: &Path) -> DaemonHandle {
     let mut cfg = DaemonConfig::new("127.0.0.1:0");
     cfg.registry_dir = Some(dir.to_path_buf());
-    cfg.batch_deadline = Duration::from_micros(200);
     cfg.poll_interval = Duration::from_millis(10);
     Daemon::bind(cfg).unwrap().spawn()
 }
@@ -439,6 +438,139 @@ fn socket_garbage_gets_bad_request_then_clean_close() {
     let err = frame::ErrorFrame::from_payload(&resp.payload).unwrap();
     assert_eq!(err.code, error_code::BAD_REQUEST);
     assert!(frame::read_frame(&mut s).unwrap().is_none());
+    handle.stop().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One Predict round trip: the predictions, or the error frame's code.
+fn predict(s: &mut TcpStream, graphs: &[PowerGraph]) -> Result<Vec<(f64, f64)>, u16> {
+    let req = PredictRequest {
+        kernel: "proto".into(),
+        graphs: graphs.to_vec(),
+    };
+    let resp = rpc(s, &RawFrame::new(FrameType::Predict, req.to_payload()));
+    match resp.frame_type() {
+        Some(FrameType::PredictOk) => Ok(PredictResponse::from_payload(&resp.payload)
+            .unwrap()
+            .predictions),
+        Some(FrameType::Error) => Err(frame::ErrorFrame::from_payload(&resp.payload).unwrap().code),
+        other => panic!("unexpected frame {other:?}"),
+    }
+}
+
+/// A request whose metadata width differs from the model's `meta_dim`
+/// gets a typed BAD_REQUEST at routing time, whether it is served alone or
+/// shares a batch with good requests, and never reaches the engine: every
+/// good request before, beside and after it is still served bit-identically.
+#[test]
+fn wrong_metadata_width_is_rejected_alone_and_co_batched() {
+    let dir = tmp_dir("metawidth");
+    let gear = tiny_gear(41);
+    publish(&dir, "proto-meta", "proto", &gear, 3);
+    let handle = daemon_on(&dir);
+    let addr = handle.addr();
+
+    let graphs: Vec<PowerGraph> = (0..6).map(graph).collect();
+    let refs: Vec<&PowerGraph> = graphs.iter().collect();
+    let expected = gear.estimate_graphs(&refs);
+    let mut wide = graph(99);
+    wide.meta = vec![0.5; 11];
+    let pick = |indices: &[usize]| -> Vec<PowerGraph> {
+        indices.iter().map(|&i| graphs[i].clone()).collect()
+    };
+    let assert_served = |got: Result<Vec<(f64, f64)>, u16>, indices: &[usize]| {
+        let got = got.expect("good request served");
+        assert_eq!(got.len(), indices.len());
+        for (&gi, (t, d)) in indices.iter().zip(got) {
+            assert_eq!(t.to_bits(), expected[gi].0.to_bits(), "graph {gi} total");
+            assert_eq!(d.to_bits(), expected[gi].1.to_bits(), "graph {gi} dynamic");
+        }
+    };
+    // A read timeout turns a stalled batcher into a failure, not a hang.
+    let connect = || {
+        let s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        s
+    };
+
+    // Alone, on one connection, between good requests; one wide graph
+    // among good ones rejects its whole request.
+    let mut s = connect();
+    assert_served(predict(&mut s, &pick(&[0])), &[0]);
+    assert_eq!(
+        predict(&mut s, &[wide.clone()]),
+        Err(error_code::BAD_REQUEST)
+    );
+    assert_served(predict(&mut s, &pick(&[1])), &[1]);
+    let mut mixed = pick(&[2, 3]);
+    mixed.insert(1, wide.clone());
+    assert_eq!(predict(&mut s, &mixed), Err(error_code::BAD_REQUEST));
+    let mut rejected = 2;
+
+    // Co-batched: each round releases a burst of clients together while a
+    // heavy request keeps the batcher busy, so the burst queues up and
+    // coalesces into shared batches. Every third request carries a wide
+    // graph.
+    const CLIENTS: usize = 6;
+    const ROUNDS: usize = 4;
+    let heavy_idx: Vec<usize> = (0..32).map(|i| i % graphs.len()).collect();
+    let barrier = std::sync::Barrier::new(CLIENTS + 1);
+    thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (barrier, pick, wide) = (&barrier, &pick, &wide);
+                let assert_served = &assert_served;
+                scope.spawn(move || {
+                    let mut s = connect();
+                    let mut rejected = 0;
+                    for r in 0..ROUNDS {
+                        let indices: Vec<usize> =
+                            (0..1 + (c + r) % 3).map(|i| (c + r + i) % 6).collect();
+                        let mut req = pick(&indices);
+                        let bad = (c + r) % 3 == 0;
+                        if bad {
+                            req.insert((c + r) % req.len(), wide.clone());
+                        }
+                        barrier.wait();
+                        let got = predict(&mut s, &req);
+                        if bad {
+                            assert_eq!(got, Err(error_code::BAD_REQUEST), "client {c} round {r}");
+                            rejected += 1;
+                        } else {
+                            assert_served(got, &indices);
+                        }
+                    }
+                    rejected
+                })
+            })
+            .collect();
+        for _ in 0..ROUNDS {
+            let mut heavy = connect();
+            let req = PredictRequest {
+                kernel: "proto".into(),
+                graphs: pick(&heavy_idx),
+            };
+            frame::write_frame(
+                &mut heavy,
+                &RawFrame::new(FrameType::Predict, req.to_payload()),
+            )
+            .unwrap();
+            barrier.wait();
+            let resp = frame::read_frame(&mut heavy)
+                .unwrap()
+                .expect("heavy response");
+            assert_eq!(resp.frame_type(), Some(FrameType::PredictOk));
+            let out = PredictResponse::from_payload(&resp.payload).unwrap();
+            assert_served(Ok(out.predictions), &heavy_idx);
+        }
+        for client in clients {
+            rejected += client.join().unwrap();
+        }
+    });
+
+    // Still serving afterwards, and every rejection was counted.
+    assert_served(predict(&mut s, &pick(&[4, 5])), &[4, 5]);
+    assert_eq!(handle.stats().errors, rejected);
     handle.stop().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,7 @@ use crate::engine::{Finding, Severity};
 use crate::source::{FileClass, SourceFile};
 
 /// Per-workspace rule configuration: which modules count as threaded, which
-/// paths are panic-audited, which files are exempt from clock/print rules.
+/// paths are panic-audited, which files are exempt from the clock rule.
 pub struct Config {
     /// Files where float-determinism rules apply (threads may interleave).
     pub threaded_modules: Vec<String>,
@@ -16,8 +16,6 @@ pub struct Config {
     pub panic_scopes: Vec<String>,
     /// Path suffixes exempt from the `wall_clock` rule.
     pub time_exempt: Vec<String>,
-    /// Path suffixes exempt from the `print_hygiene` rule.
-    pub print_exempt: Vec<String>,
 }
 
 impl Config {
@@ -36,14 +34,12 @@ impl Config {
                 "crates/gnn/src/admission.rs".to_string(),
                 "crates/core/src/daemon.rs".to_string(),
             ],
-            // prof and metrics are the sanctioned timing seams; bench
-            // exists to measure.
+            // metrics is the sanctioned timing seam; bench exists to
+            // measure.
             time_exempt: vec![
-                "crates/util/src/prof.rs".to_string(),
                 "crates/util/src/metrics.rs".to_string(),
                 "crates/bench/".to_string(),
             ],
-            print_exempt: vec!["crates/util/src/prof.rs".to_string()],
         }
     }
 }
@@ -88,7 +84,7 @@ pub fn check_file(f: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
     check_float(f, cfg, findings);
     check_unsafe(f, findings);
     check_panic(f, cfg, findings);
-    check_print(f, cfg, findings);
+    check_print(f, findings);
     check_allow_reason(f, findings);
     check_metric_name(f, findings);
 }
@@ -289,7 +285,7 @@ fn check_map_iter(f: &SourceFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// `wall_clock` (D): `Instant`/`SystemTime` outside the profiling seam.
+/// `wall_clock` (D): `Instant`/`SystemTime` outside the metrics seam.
 fn check_wall_clock(f: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
     if f.class != FileClass::Lib {
         return;
@@ -313,7 +309,7 @@ fn check_wall_clock(f: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
                 t.line,
                 format!(
                     "`{w}` in library code: wall-clock time is nondeterministic; \
-                     route timing through pg_util::prof or move it to a bin"
+                     route timing through pg_util::metrics or move it to a bin"
                 ),
             );
         }
@@ -463,12 +459,9 @@ fn check_panic(f: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
 }
 
 /// `print_hygiene` (H): `println!`/`eprintln!`/`print!`/`eprint!` belong in
-/// bins (and the profiling seam), not library code.
-fn check_print(f: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
+/// bins, not library code.
+fn check_print(f: &SourceFile, findings: &mut Vec<Finding>) {
     if f.class != FileClass::Lib {
-        return;
-    }
-    if cfg.print_exempt.iter().any(|p| f.path.starts_with(p)) {
         return;
     }
     let sig = f.significant();
@@ -706,14 +699,17 @@ mod tests {
     }
 
     #[test]
-    fn instant_flagged_outside_prof() {
+    fn instant_flagged_outside_metrics() {
         let src = "use std::time::Instant;\nfn f() { let _t = Instant::now(); }\n";
         let f = lint("crates/x/src/lib.rs", FileClass::Lib, src);
         assert!(f.iter().any(|x| x.rule == "wall_clock"), "{f:?}");
-        let f2 = lint("crates/util/src/prof.rs", FileClass::Lib, src);
+        let f2 = lint("crates/util/src/metrics.rs", FileClass::Lib, src);
         assert!(f2.iter().all(|x| x.rule != "wall_clock"), "{f2:?}");
         let f3 = lint("crates/x/src/bin/t.rs", FileClass::Bin, src);
         assert!(f3.iter().all(|x| x.rule != "wall_clock"), "{f3:?}");
+        // Only metrics.rs is a timing seam inside pg_util.
+        let f4 = lint("crates/util/src/prof.rs", FileClass::Lib, src);
+        assert!(f4.iter().any(|x| x.rule == "wall_clock"), "{f4:?}");
     }
 
     #[test]

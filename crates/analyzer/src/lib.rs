@@ -11,14 +11,14 @@
 //! | rule | family | severity | scope | what it catches |
 //! |------|--------|----------|-------|-----------------|
 //! | `map_iter` | D determinism | error | lib code, non-test | iterating `HashMap`/`HashSet` (`.iter()`, `.keys()`, `.values()`, `.drain()`, `.into_iter()`, `for .. in &map`) — iteration order is process-random |
-//! | `wall_clock` | D determinism | error | lib code outside `pg_util::prof` and `powergear_bench` | `Instant` / `SystemTime` — wall-clock reads leak nondeterminism into artifacts |
+//! | `wall_clock` | D determinism | error | lib code outside `pg_util::metrics` and `powergear_bench` | `Instant` / `SystemTime` — wall-clock reads leak nondeterminism into artifacts; route timing through `pg_util::metrics` |
 //! | `float_cast` | D determinism | warning | threaded modules (`pg_gnn::serve`, `pg_gnn::train`, `pg_datasets::build`) | `as f32` / `as f64` casts whose operand order may depend on thread interleaving |
 //! | `float_fold` | D determinism | warning | threaded modules | iterator `.sum()` / `.product()` reductions without a fixed combine order |
 //! | `dag` | A architecture | error | every `Cargo.toml` | dependency edges missing from the ROADMAP DAG (back-edges, undocumented layering), members/table drift, cyclic table |
 //! | `external_dep` | A architecture | error | every `Cargo.toml` | any non-workspace, non-vendored dependency (the build is offline) |
 //! | `unsafe_no_safety` | S safety | error | all non-test code | `unsafe` without a preceding `// SAFETY:` comment |
 //! | `panic_path` | S safety | error | `pg_store` lib + `pg_gnn::serve`, non-test | `.unwrap()` / `.expect()` / `panic!` where typed errors are required |
-//! | `print_hygiene` | H hygiene | warning | lib code outside `pg_util::prof` | `println!` / `eprintln!` / `print!` / `eprint!` in library code |
+//! | `print_hygiene` | H hygiene | warning | lib code | `println!` / `eprintln!` / `print!` / `eprint!` in library code |
 //! | `allow_no_reason` | H hygiene | warning | all non-test code | `#[allow(..)]` without an adjacent `// reason:` comment |
 //! | `bad_suppression` | H hygiene | error | everywhere | malformed or reason-less `// pg-lint: allow(..)` comments (not suppressible) |
 //!

@@ -34,6 +34,7 @@
 use pg_datasets::{build_kernel_dataset_cached, polybench, DatasetConfig, HlsCache};
 use pg_gnn::{train_ensemble, ModelConfig, TrainConfig};
 use pg_graphcon::PowerGraph;
+use pg_util::flag_value;
 use powergear::daemon::{Daemon, DaemonConfig};
 use powergear::PowerGear;
 use powergear_bench::loadgen::{
@@ -41,19 +42,6 @@ use powergear_bench::loadgen::{
 };
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
-
-fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            None => Err(format!("flag `{flag}` expects a value")),
-            Some(raw) => raw
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("invalid value `{raw}` for `{flag}`")),
-        },
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,15 +61,15 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
-    let kernel_name: String = arg_value(args, "--kernel")?.unwrap_or_else(|| "bicg".into());
-    let size: usize = arg_value(args, "--size")?.unwrap_or(10);
-    let samples: usize = arg_value(args, "--samples")?.unwrap_or(24);
+    let kernel_name: String = flag_value(args, "--kernel")?.unwrap_or_else(|| "bicg".into());
+    let size: usize = flag_value(args, "--size")?.unwrap_or(10);
+    let samples: usize = flag_value(args, "--samples")?.unwrap_or(24);
     let cfg = LoadConfig {
-        clients: arg_value(args, "--clients")?.unwrap_or(8),
-        requests: arg_value(args, "--requests")?.unwrap_or(32),
-        graphs_per_request: arg_value(args, "--graphs")?.unwrap_or(4),
+        clients: flag_value(args, "--clients")?.unwrap_or(8),
+        requests: flag_value(args, "--requests")?.unwrap_or(32),
+        graphs_per_request: flag_value(args, "--graphs")?.unwrap_or(4),
     };
-    let addr_flag: Option<String> = arg_value(args, "--addr")?;
+    let addr_flag: Option<String> = flag_value(args, "--addr")?;
 
     let kernel = polybench::by_name(&kernel_name, size)
         .ok_or_else(|| format!("unknown kernel `{kernel_name}`"))?;
@@ -201,10 +189,10 @@ impl SelfHosted {
 
         let mut dcfg = DaemonConfig::new("127.0.0.1:0");
         dcfg.registry_dir = Some(reg_dir.clone());
-        if let Some(mb) = arg_value(args, "--max-batch")? {
+        if let Some(mb) = flag_value(args, "--max-batch")? {
             dcfg.max_batch = mb;
         }
-        if let Some(t) = arg_value(args, "--threads")? {
+        if let Some(t) = flag_value(args, "--threads")? {
             dcfg.threads = t;
         }
         let daemon = Daemon::bind(dcfg).map_err(|e| e.to_string())?.spawn();

@@ -3,10 +3,12 @@
 //!
 //! The cold path is `HlsFlow::run` (lower → schedule → bind → FSMD →
 //! report) followed by graph construction (raw DFG → buffers → merge →
-//! trim → finalize), activity tracing and the power oracle. This driver
-//! enables the `pg_util::prof` timer scopes baked into those stages,
-//! builds one kernel dataset cold, and prints the attribution table plus
-//! the `cold_synth_throughput` figure the perf-smoke gate tracks.
+//! trim → finalize), activity tracing and the power oracle. Each of those
+//! stages records into the `stage_time_us` histogram of the
+//! `pg_util::metrics` registry. This driver snapshots the registry
+//! around one cold kernel dataset build, and prints the difference as the
+//! attribution table plus the `cold_synth_throughput` figure the
+//! perf-smoke gate tracks.
 //!
 //! ```text
 //! profile_synth [<kernel>] [--samples N] [--size n] [--threads T]
@@ -28,22 +30,10 @@
 //! ```
 
 use pg_datasets::{build_kernel_dataset_cached, polybench, DatasetConfig, HlsCache};
-use pg_util::prof;
+use pg_util::flag_value;
+use pg_util::metrics::{self, MetricsSnapshot};
 use std::process::ExitCode;
 use std::time::Instant;
-
-fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            None => Err(format!("flag `{flag}` expects a value")),
-            Some(raw) => raw
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("invalid value `{raw}` for `{flag}`")),
-        },
-    }
-}
 
 /// The kernel positional: the first token that is neither a flag nor a
 /// flag's value.
@@ -62,14 +52,51 @@ fn kernel_positional(args: &[String]) -> Option<String> {
     None
 }
 
+/// The stage attribution table: every `stage_time_us` series that
+/// recorded between `before` and `after`, as calls, total ms, mean µs and
+/// share of `total_secs`, sorted by descending total.
+fn stage_report(before: &MetricsSnapshot, after: &MetricsSnapshot, total_secs: f64) -> String {
+    let mut rows: Vec<(&str, u64, u64)> = after
+        .histograms
+        .iter()
+        .filter(|h| h.name == metrics::STAGE_TIME_US)
+        .filter_map(|h| {
+            let (calls0, us0) = before
+                .histograms
+                .iter()
+                .find(|b| b.name == h.name && b.labels == h.labels)
+                .map_or((0, 0), |b| (b.count, b.sum));
+            let stage = h.labels.iter().find(|(k, _)| k == "stage")?.1.as_str();
+            let calls = h.count - calls0;
+            (calls > 0).then_some((stage, calls, h.sum - us0))
+        })
+        .collect();
+    rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
+    let mut out = format!(
+        "{:<28} {:>10} {:>12} {:>12} {:>7}\n",
+        "scope", "calls", "total ms", "mean us", "share"
+    );
+    for (stage, calls, us) in rows {
+        out.push_str(&format!(
+            "{:<28} {:>10} {:>12.2} {:>12.2} {:>6.1}%\n",
+            stage,
+            calls,
+            us as f64 / 1e3,
+            us as f64 / calls as f64,
+            100.0 * us as f64 / 1e6 / total_secs.max(1e-9)
+        ));
+    }
+    out
+}
+
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let kernel_name = kernel_positional(&args).unwrap_or_else(|| "gemm".into());
     let cfg = DatasetConfig {
-        size: arg_value(&args, "--size")?.unwrap_or(12),
-        max_samples: arg_value(&args, "--samples")?.unwrap_or(96),
-        seed: arg_value(&args, "--seed")?.unwrap_or(1),
-        threads: arg_value(&args, "--threads")?.unwrap_or(1),
+        size: flag_value(&args, "--size")?.unwrap_or(12),
+        max_samples: flag_value(&args, "--samples")?.unwrap_or(96),
+        seed: flag_value(&args, "--seed")?.unwrap_or(1),
+        threads: flag_value(&args, "--threads")?.unwrap_or(1),
     };
     let warm = args.iter().any(|a| a == "--warm");
     let kernel = polybench::by_name(&kernel_name, cfg.size)
@@ -79,16 +106,15 @@ fn run() -> Result<(), String> {
         "[profile] cold build: {} x {} design points (size {}, {} thread(s))",
         kernel.name, cfg.max_samples, cfg.size, cfg.threads
     );
-    prof::set_enabled(true);
-    prof::reset();
     let cache = HlsCache::new();
+    let before = metrics::snapshot();
     let t = Instant::now();
     let ds = build_kernel_dataset_cached(&kernel, &cfg, &cache);
     let cold_s = t.elapsed().as_secs_f64();
-    prof::set_enabled(false);
+    let after = metrics::snapshot();
 
     let designs = cache.misses();
-    println!("{}", prof::report(cold_s));
+    println!("{}", stage_report(&before, &after, cold_s));
     println!(
         "cold build: {} samples / {} synthesized designs in {:.3}s ({:.1} avg nodes)",
         ds.samples.len(),

@@ -54,6 +54,7 @@ use pg_graphcon::{GraphFlow, PowerGraph};
 use pg_hls::{Directives, HlsFlow};
 use pg_powersim::BoardOracle;
 use pg_store::{ArtifactMeta, ModelArtifact, ModelRegistry};
+use pg_util::flag_value;
 use powergear::{PowerGear, PowerGearConfig};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -93,22 +94,6 @@ fn main() -> ExitCode {
 
 // ---------------------------------------------------------------------------
 // Argument handling
-
-/// Parses the value following `<flag>` (e.g. `--size 8`). A present flag
-/// with a missing or unparseable value is an error — `--threads abc` must
-/// fail loudly instead of silently falling back to a default.
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            None => Err(format!("flag `{flag}` expects a value")),
-            Some(raw) => raw
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("invalid value `{raw}` for `{flag}`")),
-        },
-    }
-}
 
 /// Every value-taking flag the CLI understands.
 const KNOWN_FLAGS: [&str; 25] = [
@@ -987,7 +972,9 @@ fn parse_zoo_config(args: &[String]) -> Result<ModelConfig, String> {
 fn cmd_eval(args: &[String]) -> Result<(), String> {
     let pos = positionals(args)?;
     if let Some(extra) = pos.first() {
-        return Err(format!("unexpected argument `{extra}`; eval takes flags only"));
+        return Err(format!(
+            "unexpected argument `{extra}`; eval takes flags only"
+        ));
     }
     if !args.iter().any(|a| a == "--loko") {
         return Err("eval requires `--loko` (leave-one-kernel-out protocol)".into());

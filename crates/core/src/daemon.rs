@@ -377,8 +377,8 @@ impl Shared {
         }
     }
 
-    /// A full registry snapshot for the `StatsV2` frame (includes the
-    /// prof scope roll-ins, see [`metrics::snapshot`]).
+    /// A full registry snapshot for the `StatsV2` frame (see
+    /// [`metrics::snapshot`]).
     fn stats_v2(&self) -> frame::StatsV2Response {
         frame::StatsV2Response {
             // pg-lint: allow(wall_clock, reason = "uptime telemetry for the Stats frame only; never feeds model arithmetic")

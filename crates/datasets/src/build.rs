@@ -44,9 +44,10 @@
 //! surrogate — see [`sample_from_design`]. Every assembly worker owns a
 //! [`pg_activity::TraceScratch`]: the trace interpreter's flat event arena
 //! and row buffer are recycled across all the design points the worker
-//! steals, so steady-state assembly performs no large allocations. Timing
-//! of every stage is attributed via `pg_util::prof` scopes; the
-//! `profile_synth` bench bin prints the table.
+//! steals, so steady-state assembly performs no large allocations. Every
+//! stage is timed by a `pg_util::metrics::stage` timer (the
+//! `stage_time_us` histogram); the `profile_synth` bench bin prints the
+//! table.
 
 use crate::cache::{HlsCache, KernelSession};
 use crate::space::sample_space;
@@ -55,7 +56,7 @@ use pg_graphcon::{GraphFlow, PowerGraph, WorkGraph};
 use pg_hls::{Directives, HlsDesign, HlsError, HlsReport};
 use pg_ir::Kernel;
 use pg_powersim::{BoardOracle, PowerBreakdown};
-use pg_util::prof;
+use pg_util::metrics;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Dataset construction parameters.
@@ -236,7 +237,7 @@ pub(crate) fn graph_from_design_in(
     scratch: &mut TraceScratch,
 ) -> DesignGraph {
     let trace = {
-        let _t = prof::scope("sample.trace");
+        let _t = metrics::stage("sample.trace");
         execute_in(design, stimuli, scratch)
     };
     let flow = GraphFlow::new();
@@ -274,13 +275,13 @@ pub fn sample_from_design_in(
     baseline: &HlsReport,
     scratch: &mut TraceScratch,
 ) -> Sample {
-    let _t = prof::scope("sample");
+    let _t = metrics::stage("sample");
     // One work graph serves both the GNN sample and the oracle's netlist
     // surrogate — the construction passes (raw DFG, buffers, merge, trim)
     // used to run twice per design point.
     let built = graph_from_design_in(design, stimuli, baseline, scratch);
     let power = {
-        let _t = prof::scope("sample.oracle");
+        let _t = metrics::stage("sample.oracle");
         BoardOracle::default().measure_graph(design, &built.work)
     };
     Sample {

@@ -24,8 +24,8 @@
 use pg_hls::{Directives, HlsDesign, HlsError, HlsFlow, KernelAnalysis, PreparedKernel};
 use pg_ir::{ArrayKind, Block, Kernel};
 use pg_store::{dec_design, enc_design, Dec, Enc, Reader, StoreError, Writer};
+use pg_util::metrics;
 use pg_util::rng::hash64;
-use pg_util::{metrics, prof};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -41,7 +41,7 @@ const CACHE_SECTION: &str = "hls_cache";
 /// whose derive output shifts whenever a field is added or reordered and
 /// would silently invalidate cache spills and `.pgm` provenance.
 pub fn kernel_fingerprint(kernel: &Kernel) -> u64 {
-    let _t = prof::scope("hls.fingerprint");
+    let _t = metrics::stage("hls.fingerprint");
     let mut buf = Vec::with_capacity(256);
     let push_str = |buf: &mut Vec<u8>, s: &str| {
         buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -347,7 +347,7 @@ impl KernelSession<'_, '_> {
     /// The first [`HlsError`] encountered (by config order), if any;
     /// successfully synthesized points remain cached.
     pub fn populate(&self, configs: &[Directives], threads: usize) -> Result<(), HlsError> {
-        let _t = prof::scope("populate");
+        let _t = metrics::stage("populate");
         let workers = threads.max(1).min(configs.len().max(1));
         if workers <= 1 {
             for d in configs {

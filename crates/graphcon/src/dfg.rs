@@ -359,7 +359,7 @@ impl WorkGraph {
     /// stream is decoded once instead of the accumulating stream being
     /// re-decoded per pair.
     pub fn fuse_parallel_edges(&mut self) {
-        let _t = pg_util::prof::scope("graph.fuse");
+        let _t = pg_util::metrics::stage("graph.fuse");
         // Group alive parallel edges by endpoint pair, preserving edge
         // order within and across groups.
         let mut group_idx: BTreeMap<(usize, usize), usize> = BTreeMap::new();

@@ -14,7 +14,7 @@ use crate::merge::merge_datapaths;
 use crate::trim::trim;
 use pg_activity::ExecutionTrace;
 use pg_hls::HlsDesign;
-use pg_util::prof;
+use pg_util::metrics;
 
 /// Pass-selection configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,21 +68,21 @@ impl GraphFlow {
     /// and sharing it (see `pg_powersim::build_netlist_from_graph`) halves
     /// the graph-construction cost of a labeled sample.
     pub fn build_work(&self, design: &HlsDesign, trace: &ExecutionTrace) -> crate::dfg::WorkGraph {
-        let _t = prof::scope("graph");
+        let _t = metrics::stage("graph");
         let mut g = {
-            let _t = prof::scope("graph.build_raw");
+            let _t = metrics::stage("graph.build_raw");
             build_raw(design, trace)
         };
         if self.config.buffer_insertion {
-            let _t = prof::scope("graph.buffers");
+            let _t = metrics::stage("graph.buffers");
             insert_buffers(&mut g, design);
         }
         if self.config.datapath_merging {
-            let _t = prof::scope("graph.merge");
+            let _t = metrics::stage("graph.merge");
             merge_datapaths(&mut g, design);
         }
         if self.config.graph_trimming {
-            let _t = prof::scope("graph.trim");
+            let _t = metrics::stage("graph.trim");
             trim(&mut g);
         }
         g
@@ -91,7 +91,7 @@ impl GraphFlow {
     /// Annotates and compacts an already-built work graph into the final
     /// [`PowerGraph`] sample.
     pub fn finalize_work(&self, g: &crate::dfg::WorkGraph, design: &HlsDesign) -> PowerGraph {
-        let _t = prof::scope("graph.finalize");
+        let _t = metrics::stage("graph.finalize");
         finalize(g, &design.kernel_name, &design.design_id())
     }
 }

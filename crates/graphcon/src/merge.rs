@@ -24,10 +24,10 @@ use std::collections::BTreeMap;
 /// Runs both merging mechanisms until fixpoint.
 pub fn merge_datapaths(g: &mut WorkGraph, design: &HlsDesign) {
     {
-        let _t = pg_util::prof::scope("graph.merge.binding");
+        let _t = pg_util::metrics::stage("graph.merge.binding");
         merge_by_binding(g, design);
     }
-    let _t = pg_util::prof::scope("graph.merge.rounds");
+    let _t = pg_util::metrics::stage("graph.merge.rounds");
     let mut guard = 0;
     while merge_structural_round(g) {
         guard += 1;

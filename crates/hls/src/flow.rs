@@ -15,7 +15,7 @@ use crate::report::{report, HlsReport};
 use crate::resources::FuLibrary;
 use crate::schedule::{schedule, Schedule};
 use pg_ir::{ArrayDecl, IrFunction, Kernel, KernelError};
-use pg_util::prof;
+use pg_util::metrics;
 use std::fmt;
 use std::sync::Arc;
 
@@ -77,7 +77,7 @@ impl KernelAnalysis {
     ///
     /// [`HlsError::InvalidKernel`] when structural validation fails.
     pub fn new(kernel: &Kernel) -> Result<Self, HlsError> {
-        let _t = prof::scope("hls.analyze");
+        let _t = metrics::stage("hls.analyze");
         kernel.validate()?;
         Ok(KernelAnalysis {
             labels: kernel.loop_labels(),
@@ -197,22 +197,22 @@ impl HlsFlow {
         prepared: &PreparedKernel,
         directives: &Directives,
     ) -> Result<HlsDesign, HlsError> {
-        let _t = prof::scope("hls");
+        let _t = metrics::stage("hls");
         let kernel = &prepared.kernel;
         let ir = {
-            let _t = prof::scope("hls.lower");
+            let _t = metrics::stage("hls.lower");
             lower_prepared(prepared, directives)?
         };
         let sched = {
-            let _t = prof::scope("hls.schedule");
+            let _t = metrics::stage("hls.schedule");
             schedule(&ir, &self.lib, directives)
         };
         let binding = {
-            let _t = prof::scope("hls.bind");
+            let _t = metrics::stage("hls.bind");
             bind(&ir, &sched, &self.lib)
         };
         let fsmd = {
-            let _t = prof::scope("hls.fsmd");
+            let _t = metrics::stage("hls.fsmd");
             build_fsmd(&ir, &sched)
         };
         let arrays: Vec<(ArrayDecl, usize)> = kernel
@@ -224,7 +224,7 @@ impl HlsFlow {
             })
             .collect();
         let rpt = {
-            let _t = prof::scope("hls.report");
+            let _t = metrics::stage("hls.report");
             report(&ir, &sched, &binding, &fsmd, &arrays, &self.lib)
         };
         Ok(HlsDesign {

@@ -450,8 +450,8 @@ impl StatsResponse {
 pub const STATSV2_FORMAT_VERSION: u32 = 1;
 
 /// `StatsV2Ok` response: a full [`pg_util::metrics`] registry snapshot —
-/// every counter, gauge and histogram (with label sets), plus the prof
-/// scope roll-ins — superseding the fixed-field [`StatsResponse`].
+/// every counter, gauge and histogram (with label sets), pipeline stage
+/// timers included — superseding the fixed-field [`StatsResponse`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatsV2Response {
     /// Seconds since the daemon started listening.

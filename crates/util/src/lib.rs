@@ -3,9 +3,9 @@
 //! Provides a deterministic pseudo-random number generator ([`Rng64`]),
 //! summary statistics used throughout the evaluation harness, plain-text
 //! table/CSV writers used by the benchmark binaries to regenerate the
-//! paper's tables and figures, lightweight timer-scope instrumentation
-//! ([`prof`]) attributing cold-synthesis time across pipeline stages, and
-//! the workspace observability layer ([`metrics`] registry + [`trace`]
+//! paper's tables and figures, the binaries' flag parser
+//! ([`flag_value`]), and the workspace observability layer ([`metrics`]
+//! registry, including the pipeline stage timers, + [`trace`]
 //! per-request spans) surfaced by the serving daemon.
 //!
 //! # Examples
@@ -17,14 +17,15 @@
 //! assert!(mean(&xs) > 0.0);
 //! ```
 
+pub mod cli;
 pub mod csv;
 pub mod metrics;
-pub mod prof;
 pub mod rng;
 pub mod stats;
 pub mod table;
 pub mod trace;
 
+pub use cli::flag_value;
 pub use csv::CsvWriter;
 pub use rng::Rng64;
 pub use stats::{mape, mean, median, percentile, rmse, stddev};

@@ -12,15 +12,22 @@
 //!    same observations*. Wall-clock only enters through [`Timer`] and
 //!    [`monotonic_us`], both confined to this file (which is on the
 //!    pg-lint `wall_clock` allow-list for exactly that reason).
-//! 2. **Near-free when disabled.** Like [`crate::prof`], recording is
-//!    gated on one relaxed atomic load; the registry ships enabled so the
-//!    daemon is observable out of the box, and the bench harness flips it
-//!    off to measure instrumentation overhead.
+//! 2. **Near-free when disabled.** Recording is gated on one relaxed
+//!    atomic load; the registry ships enabled so the daemon is observable
+//!    out of the box, and the bench harness flips it off to measure
+//!    instrumentation overhead.
 //! 3. **No dependencies.** Hand-rolled registry, snapshot, and Prometheus
 //!    text rendering; `std` only.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones
 //! resolved once at setup; the hot path never touches the registry lock.
+//!
+//! Pipeline stages (`HlsFlow::run`, graph construction, the dataset
+//! sample builder) are timed with [`stage`] guards, which record into the
+//! [`STAGE_TIME_US`] histogram under a `stage` label holding the dotted
+//! stage name. Nested stages each record their own wall time, so a parent
+//! (`hls`) includes its children (`hls.lower`, ...): the series form an
+//! attribution tree flattened by dotted names, not a partition.
 //!
 //! # Naming convention
 //!
@@ -41,6 +48,7 @@
 //! assert_eq!(snap.counter_value("doc_requests_total", &[]), Some(1));
 //! ```
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -290,18 +298,16 @@ impl Histogram {
     /// anything — it keeps `Instant` confined to this module.
     pub fn start_timer(&self) -> Timer {
         Timer {
-            hist: self.clone(),
-            start: enabled().then(Instant::now),
+            running: enabled().then(|| (self.clone(), Instant::now())),
         }
     }
 }
 
-/// RAII guard from [`Histogram::start_timer`]; records elapsed
-/// microseconds on drop (no-op while recording is disabled).
+/// RAII guard from [`Histogram::start_timer`] or [`stage`]; records
+/// elapsed microseconds on drop (no-op while recording is disabled).
 #[must_use = "a dropped timer records zero time"]
 pub struct Timer {
-    hist: Histogram,
-    start: Option<Instant>,
+    running: Option<(Histogram, Instant)>,
 }
 
 impl Timer {
@@ -311,9 +317,9 @@ impl Timer {
         self.finish()
     }
     fn finish(&mut self) -> u64 {
-        if let Some(start) = self.start.take() {
+        if let Some((hist, start)) = self.running.take() {
             let us = start.elapsed().as_micros() as u64;
-            self.hist.observe(us);
+            hist.observe(us);
             us
         } else {
             0
@@ -325,6 +331,37 @@ impl Drop for Timer {
     fn drop(&mut self) {
         self.finish();
     }
+}
+
+/// The histogram [`stage`] timers record into, one series per `stage`
+/// label.
+pub const STAGE_TIME_US: &str = "stage_time_us";
+
+/// Times one pipeline stage: the returned guard records its elapsed
+/// microseconds into [`STAGE_TIME_US`]`{stage=name}` on drop. Names are
+/// dotted by convention (`graph.merge.binding`). Each thread resolves a
+/// stage's handle on first use and caches it, so only that first call
+/// takes the registry lock and dropping the guard never does. While
+/// recording is disabled the call records nothing.
+pub fn stage(name: &'static str) -> Timer {
+    thread_local! {
+        static STAGES: RefCell<Vec<(&'static str, Histogram)>> = const { RefCell::new(Vec::new()) };
+    }
+    if !enabled() {
+        return Timer { running: None };
+    }
+    STAGES.with(|stages| {
+        let mut stages = stages.borrow_mut();
+        let i = match stages.iter().position(|(n, _)| *n == name) {
+            Some(i) => i,
+            None => {
+                let h = histogram_with(STAGE_TIME_US, &[("stage", name)], buckets::LATENCY_US);
+                stages.push((name, h));
+                stages.len() - 1
+            }
+        };
+        stages[i].1.start_timer()
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -484,7 +521,7 @@ impl HistogramSnapshot {
 /// logically-atomic pair across cells — fine for telemetry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// All counters, including `prof_*` scope roll-ins.
+    /// All counters.
     pub counters: Vec<CounterSnapshot>,
     /// All gauges.
     pub gauges: Vec<GaugeSnapshot>,
@@ -518,10 +555,7 @@ impl MetricsSnapshot {
     }
 }
 
-/// Takes a snapshot of the whole registry, folding in [`crate::prof`]
-/// scope accumulators as `prof_<scope>_time_us_total` /
-/// `prof_<scope>_calls_total` counters (dots become underscores) so one
-/// surface carries both serving and offline-pipeline telemetry.
+/// Takes a snapshot of the whole registry.
 pub fn snapshot() -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::default();
     {
@@ -551,22 +585,6 @@ pub fn snapshot() -> MetricsSnapshot {
             }
         }
     }
-    let mut prof_counters: Vec<CounterSnapshot> = Vec::new();
-    for e in crate::prof::entries() {
-        let scope = e.name.replace('.', "_");
-        prof_counters.push(CounterSnapshot {
-            name: format!("prof_{scope}_time_us_total"),
-            labels: Vec::new(),
-            value: (e.total_secs * 1e6) as u64,
-        });
-        prof_counters.push(CounterSnapshot {
-            name: format!("prof_{scope}_calls_total"),
-            labels: Vec::new(),
-            value: e.count,
-        });
-    }
-    prof_counters.sort_by(|a, b| a.name.cmp(&b.name));
-    snap.counters.extend(prof_counters);
     snap
 }
 
@@ -672,7 +690,7 @@ mod tests {
     use super::*;
 
     // The registry is process-global; exercise everything in one test so
-    // parallel test threads never race reset() (same pattern as prof.rs).
+    // parallel test threads never race reset().
     // Names are test-unique to avoid collisions with other suites.
     #[test]
     fn registry_end_to_end() {
@@ -767,17 +785,36 @@ mod tests {
         assert!(text.contains("mtest_wait_us_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("mtest_wait_us_count 4"));
 
-        // Prof scopes fold into the snapshot as counters.
-        crate::prof::set_enabled(true);
+        // Stage timers: one series per stage label, shared across threads.
+        let stage_count = |name: &str| {
+            snapshot()
+                .histogram(STAGE_TIME_US, &[("stage", name)])
+                .map_or(0, |h| h.count)
+        };
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let _t = stage("mtest.mt");
+                });
+            }
+        });
+        assert_eq!(stage_count("mtest.mt"), 4);
+        // Nested stages each record.
         {
-            let _s = crate::prof::scope("mtest.stage");
+            let _outer = stage("mtest.outer");
+            let _inner = stage("mtest.outer.inner");
         }
-        let snap = snapshot();
-        assert!(snap
-            .counter_value("prof_mtest_stage_calls_total", &[])
-            .is_some());
-        crate::prof::set_enabled(false);
-        crate::prof::reset();
+        assert_eq!(stage_count("mtest.outer"), 1);
+        assert_eq!(stage_count("mtest.outer.inner"), 1);
+        // A stage opened while recording is disabled records nothing,
+        // even once recording is back on by the time it drops.
+        set_enabled(false);
+        let off = stage("mtest.outer");
+        set_enabled(true);
+        drop(off);
+        assert_eq!(stage_count("mtest.outer"), 1);
+        let text = render_prometheus(&snapshot());
+        assert!(text.contains("stage_time_us_count{stage=\"mtest.mt\"} 4"));
 
         // reset() zeroes values but keeps handles live.
         reset();

@@ -112,16 +112,14 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     // The analyzer is a dependency-free leaf by design: it must be buildable
     // and runnable even when the rest of the workspace is broken.
     ("pg_lint", &[]),
-    // Offline shims for the two external dev-dependencies.
-    ("criterion", &[]),
+    // Offline shim for the one external dev-dependency.
     ("proptest", &[]),
 ];
 
 /// Dev-dependencies get a slightly wider allowance: the vendored test
-/// harnesses plus (for the umbrella crate) the analyzer itself.
+/// harness plus (for the umbrella crate) the analyzer itself.
 pub const ALLOWED_DEV_DEPS: &[(&str, &[&str])] = &[
     ("powergear_repro", &["proptest", "pg_lint"]),
-    ("powergear_bench", &["criterion"]),
     ("pg_lint", &["proptest"]),
     ("pg_tensor", &["proptest"]),
     ("pg_store", &["proptest"]),
@@ -321,7 +319,6 @@ pub fn dir_of(name: &str) -> &'static str {
         "powergear_bench" => "crates/bench",
         "powergear_repro" => ".",
         "pg_lint" => "crates/analyzer",
-        "criterion" => "vendor/criterion",
         "proptest" => "vendor/proptest",
         _ => "",
     }

@@ -10,14 +10,24 @@
 //! The warm path is the production story: load the spilled `HlsCache`, load
 //! the `.pgm` model artifact, then serve — zero synthesis, zero training
 //! epochs. Outputs are asserted bit-identical between the two paths.
+//!
+//! The run fails (exit 1) unless training took at least
+//! [`WARM_START_FLOOR`] times the median of [`LOAD_REPS`] artifact loads:
+//! loading a model must stay far cheaper than the training it replaces.
 
 use pg_datasets::{build_kernel_dataset_cached, polybench, DatasetConfig, HlsCache, PowerTarget};
 use pg_gnn::{train_ensemble, ModelConfig, TrainConfig};
 use pg_graphcon::PowerGraph;
 use pg_store::{ArtifactMeta, ModelArtifact};
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
+/// Minimum ratio of training time to median artifact-load time.
+const WARM_START_FLOOR: f64 = 10.0;
+/// Timed artifact loads behind the median.
+const LOAD_REPS: usize = 5;
+
+fn main() -> ExitCode {
     let full = std::env::args().any(|a| a == "--full");
     let (samples, epochs) = if full { (48, 20) } else { (16, 4) };
     let kernel = polybench::bicg(8);
@@ -81,6 +91,17 @@ fn main() {
         .collect();
     assert_eq!(cold_bits, warm_bits, "warm path must be bit-identical");
 
+    let mut loads: Vec<f64> = (0..LOAD_REPS)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(ModelArtifact::load(&model_path).expect("artifact load"));
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    loads.sort_by(f64::total_cmp);
+    let load_median_s = loads[LOAD_REPS / 2];
+    let warm_start = train_s / load_median_s.max(1e-9);
+
     println!(
         "cold-vs-warm start, `{}` x {} design points:",
         ds.kernel, samples
@@ -97,6 +118,15 @@ fn main() {
         cold_s / warm_s.max(1e-9),
         spilled
     );
+    println!(
+        "  warm start: train {train_s:.3}s / median of {LOAD_REPS} loads {:.3}ms = {warm_start:.1}x (floor {WARM_START_FLOOR}x)",
+        load_median_s * 1e3
+    );
     std::fs::remove_file(&cache_path).ok();
     std::fs::remove_file(&model_path).ok();
+    if warm_start < WARM_START_FLOOR {
+        eprintln!("error: training took only {warm_start:.1}x the median artifact load (floor {WARM_START_FLOOR}x)");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -25,7 +25,7 @@ use pg_hls::{Directives, HlsFlow};
 use pg_powersim::BoardOracle;
 use pg_util::{mean, Rng64, Table};
 use powergear::eval::{run_loko, EvalConfig};
-use powergear_bench::drivers::results_dir;
+use powergear_bench::drivers::{kernels_flag, results_dir};
 
 struct FlowVariant {
     name: &'static str,
@@ -146,12 +146,13 @@ fn run_zoo(kernels: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let kernels: Vec<String> = args
-        .iter()
-        .position(|a| a == "--kernels")
-        .and_then(|i| args.get(i + 1))
-        .map(|l| l.split(',').map(|s| s.to_string()).collect())
-        .unwrap_or_else(|| vec!["atax".into(), "mvt".into(), "bicg".into()]);
+    let kernels = match kernels_flag(&args) {
+        Ok(k) => k.unwrap_or_else(|| vec!["atax".into(), "mvt".into(), "bicg".into()]),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        }
+    };
     if args.iter().any(|a| a == "--zoo") {
         run_zoo(&kernels);
         return;

@@ -283,8 +283,8 @@ fn overhead_check(
         on.errors,
         on.mismatches
     );
-    // Generous 2x bound, matching the perf-smoke threshold: socket-level
-    // runs jitter, and a real overhead regression shows up far larger.
+    // Generous 2x bound: socket-level runs jitter, and a real overhead
+    // regression shows up far larger.
     let parity_ok = on_tput >= off_tput / 2.0;
     println!(
         "parity         : instrumented/uninstrumented = {:.2} ({})",

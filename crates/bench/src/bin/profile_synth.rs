@@ -7,8 +7,8 @@
 //! stages records into the `stage_time_us` histogram of the
 //! `pg_util::metrics` registry. This driver snapshots the registry
 //! around one cold kernel dataset build, and prints the difference as the
-//! attribution table plus the `cold_synth_throughput` figure the
-//! perf-smoke gate tracks.
+//! attribution table plus the `cold_synth_throughput` figure (designs per
+//! second through the whole cold path).
 //!
 //! ```text
 //! profile_synth [<kernel>] [--samples N] [--size n] [--threads T]

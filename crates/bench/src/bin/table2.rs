@@ -21,7 +21,10 @@ const VARIANTS: [&str; 7] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EvalConfig::from_args(&args);
+    let cfg = EvalConfig::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    });
     eprintln!("[table2] config hash {:016x}", cfg.hash());
     let results = ablation_all(&cfg);
 

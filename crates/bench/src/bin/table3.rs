@@ -13,7 +13,10 @@ use powergear_bench::drivers::{evaluate_all, results_dir, EvalConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EvalConfig::from_args(&args);
+    let cfg = EvalConfig::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    });
     eprintln!("[table3] config hash {:016x}", cfg.hash());
     let ctx = evaluate_all(&cfg);
 

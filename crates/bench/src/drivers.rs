@@ -21,7 +21,7 @@ use pg_graphcon::PowerGraph;
 use pg_hlpow::HlPowModel;
 use pg_powersim::VivadoEstimator;
 use pg_util::rng::hash64;
-use pg_util::{mape, Rng64};
+use pg_util::{flag_value, mape, Rng64};
 use std::path::{Path, PathBuf};
 
 /// Scale knobs for an evaluation run.
@@ -97,18 +97,18 @@ impl EvalConfig {
     }
 
     /// Parses `--full` / `--kernels a,b` style CLI arguments.
-    pub fn from_args(args: &[String]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// A one-line message for a bad `--kernels` (see [`kernels_flag`]).
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
         let mut cfg = if args.iter().any(|a| a == "--full") {
             EvalConfig::full()
         } else {
             EvalConfig::quick()
         };
-        if let Some(pos) = args.iter().position(|a| a == "--kernels") {
-            if let Some(list) = args.get(pos + 1) {
-                cfg.kernels = Some(list.split(',').map(|s| s.to_string()).collect());
-            }
-        }
-        cfg
+        cfg.kernels = kernels_flag(args)?;
+        Ok(cfg)
     }
 
     /// Stable hash over everything that affects cached results.
@@ -163,6 +163,29 @@ impl EvalConfig {
                 .collect(),
         }
     }
+}
+
+/// Parses `--kernels a,b,c`: `None` when the flag is absent.
+///
+/// # Errors
+///
+/// A one-line message when the flag has no value or names a kernel that is
+/// not in [`polybench::KERNEL_NAMES`].
+pub fn kernels_flag(args: &[String]) -> Result<Option<Vec<String>>, String> {
+    let Some(list) = flag_value::<String>(args, "--kernels")? else {
+        return Ok(None);
+    };
+    let kernels: Vec<String> = list.split(',').map(|k| k.trim().to_string()).collect();
+    if let Some(bad) = kernels
+        .iter()
+        .find(|k| !polybench::KERNEL_NAMES.contains(&k.as_str()))
+    {
+        return Err(format!(
+            "unknown kernel `{bad}`; available: {}",
+            polybench::KERNEL_NAMES.join(", ")
+        ));
+    }
+    Ok(Some(kernels))
 }
 
 /// One test design's prediction record.
@@ -642,16 +665,21 @@ mod tests {
 
     #[test]
     fn from_args_parses_flags() {
-        let cfg = EvalConfig::from_args(&[
-            "--full".to_string(),
-            "--kernels".to_string(),
-            "atax,mvt".to_string(),
-        ]);
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let cfg = EvalConfig::from_args(&args(&["--full", "--kernels", "atax,mvt"])).unwrap();
         assert_eq!(
             cfg.dataset.max_samples,
             EvalConfig::full().dataset.max_samples
         );
         assert_eq!(cfg.kernel_names(), vec!["atax", "mvt"]);
+        assert_eq!(EvalConfig::from_args(&[]), Ok(EvalConfig::quick()));
+
+        // A bare flag and an unknown kernel are errors, not "all kernels".
+        let bare = EvalConfig::from_args(&args(&["--kernels"])).unwrap_err();
+        assert!(bare.contains("expects a value"), "{bare}");
+        let unknown = EvalConfig::from_args(&args(&["--kernels", "atax,nope"])).unwrap_err();
+        assert!(unknown.starts_with("unknown kernel `nope`"), "{unknown}");
+        assert!(EvalConfig::from_args(&args(&["--kernels", "--full"])).is_err());
     }
 
     #[test]

@@ -18,9 +18,7 @@
 
 pub mod drivers;
 pub mod loadgen;
-pub mod perf;
 pub mod runtime;
 
 pub use drivers::{EvalConfig, EvalContext};
 pub use loadgen::{fetch_stats_v2, run_load, server_delta, LoadConfig, LoadReport, ServerDelta};
-pub use perf::{PerfConfig, PerfResult};

@@ -4,8 +4,7 @@
 //! frames (`docs/PROTOCOL.md`) from many concurrent clients, and reports
 //! the numbers an operator tunes against (`docs/SERVING.md`): p50/p95/p99
 //! request latency and sustained graph throughput. The `loadgen` binary
-//! is the CLI wrapper; [`crate::perf::run_perf_suite`] reuses
-//! [`run_load`] for the `serve_throughput` CI metric.
+//! is the CLI wrapper.
 //!
 //! When the caller knows the per-graph ground truth (daemon spawned from
 //! the same process against a known model), pass `expected` and the
@@ -39,18 +38,6 @@ pub struct LoadConfig {
     pub requests: usize,
     /// Graphs per Predict request.
     pub graphs_per_request: usize,
-}
-
-impl LoadConfig {
-    /// CI quick mode: enough traffic to exercise coalescing, fast enough
-    /// for a smoke gate.
-    pub fn quick() -> Self {
-        LoadConfig {
-            clients: 4,
-            requests: 8,
-            graphs_per_request: 4,
-        }
-    }
 }
 
 /// Aggregated results of one load run.

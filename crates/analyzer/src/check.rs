@@ -31,6 +31,7 @@ impl Config {
             panic_scopes: vec![
                 "crates/store/src/".to_string(),
                 "crates/gnn/src/serve.rs".to_string(),
+                "crates/gnn/src/pool.rs".to_string(),
                 "crates/gnn/src/admission.rs".to_string(),
                 "crates/core/src/daemon.rs".to_string(),
             ],

@@ -17,7 +17,7 @@
 //! | `dag` | A architecture | error | every `Cargo.toml` | dependency edges missing from the ROADMAP DAG (back-edges, undocumented layering), members/table drift, cyclic table |
 //! | `external_dep` | A architecture | error | every `Cargo.toml` | any non-workspace, non-vendored dependency (the build is offline) |
 //! | `unsafe_no_safety` | S safety | error | all non-test code | `unsafe` without a preceding `// SAFETY:` comment |
-//! | `panic_path` | S safety | error | `pg_store` lib + `pg_gnn::serve`, non-test | `.unwrap()` / `.expect()` / `panic!` where typed errors are required |
+//! | `panic_path` | S safety | error | `pg_store` lib, `pg_gnn::{serve,pool,admission}` and the daemon, non-test | `.unwrap()` / `.expect()` / `panic!` where typed errors are required |
 //! | `print_hygiene` | H hygiene | warning | lib code | `println!` / `eprintln!` / `print!` / `eprint!` in library code |
 //! | `allow_no_reason` | H hygiene | warning | all non-test code | `#[allow(..)]` without an adjacent `// reason:` comment |
 //! | `bad_suppression` | H hygiene | error | everywhere | malformed or reason-less `// pg-lint: allow(..)` comments (not suppressible) |

@@ -688,12 +688,17 @@ fn respond(
             )
         }
     };
+    let _t = metrics::stage("serve.write");
     frame::write_frame(stream, &resp)
 }
 
 /// Admits one Predict request and blocks until the batcher replies.
 fn predict(shared: &Shared, payload: &[u8]) -> frame::RawFrame {
-    let request = match frame::PredictRequest::from_payload(payload) {
+    let decoded = {
+        let _t = metrics::stage("serve.decode");
+        frame::PredictRequest::from_payload(payload)
+    };
+    let request = match decoded {
         Ok(r) => r,
         Err(e) => {
             shared.record_error();
@@ -1260,6 +1265,16 @@ mod tests {
         assert_eq!(st.count, batches);
         // All admitted work is done, so the queue gauge is back to zero.
         assert_eq!(v2.snapshot.gauge_value("serve_queue_depth", &[]), Some(0));
+        // Every request was checksummed, decoded and answered under its
+        // stage timer. Stage series are process-wide, so other tests can
+        // only add to the counts.
+        for stage in ["frame.crc", "serve.decode", "serve.write"] {
+            let timed = v2
+                .snapshot
+                .histogram(metrics::STAGE_TIME_US, &[("stage", stage)])
+                .unwrap_or_else(|| panic!("no `{stage}` stage"));
+            assert!(timed.count >= total_reqs as u64, "{stage}: {timed:?}");
+        }
 
         // The HTTP endpoint serves the same registry as Prometheus text.
         let mut http = TcpStream::connect(metrics_addr).unwrap();

@@ -32,6 +32,7 @@ pub mod ablation;
 pub mod admission;
 pub mod batch;
 pub mod model;
+mod pool;
 pub mod serve;
 pub mod train;
 

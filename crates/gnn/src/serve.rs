@@ -10,11 +10,13 @@
 //! The input graphs are cut into chunks of `batch_size`, and the **unit of
 //! work is one (chunk, ensemble member) forward**, across every head
 //! passed in. Workers pull tasks in chunk-major order from one atomic
-//! cursor; the calling thread is one of them, so `threads = 2` costs one
-//! spawn. Each chunk's [`GraphBatch`] is assembled once, by the first
-//! task that needs it, and read by every member of every head. A single
-//! chunk — the serving daemon's usual batch — therefore still spreads its
-//! member forwards over all `threads` cores.
+//! cursor; the calling thread is one of them, and the other `threads − 1`
+//! are persistent helpers from a process-wide pool, so a call spawns no
+//! thread once the helpers exist. Each chunk's [`GraphBatch`] is
+//! assembled once, by the first task that needs it, and read by every
+//! member of every head. A single chunk — the serving daemon's usual
+//! batch — therefore still spreads its member forwards over all `threads`
+//! cores.
 //!
 //! Every task runs [`PowerModel::predict_batch`], the same tape-free
 //! evaluator every other prediction uses, so there is one inference path.
@@ -25,8 +27,9 @@
 //! edges, element-wise activations — is independent of which other graphs
 //! share the batch, so the output is **bit-identical** to the sequential
 //! path for any batch size and thread count (enforced by the workspace's
-//! parity property test). Evaluator arenas are per thread: the calling
-//! thread, which serves request after request, reuses its own.
+//! parity property test). Evaluator arenas are per thread, and every
+//! worker keeps its own across calls: the calling thread, which serves
+//! request after request, and the pool helpers, which park between calls.
 //!
 //! # Examples
 //!
@@ -40,6 +43,7 @@
 
 use crate::batch::GraphBatch;
 use crate::model::PowerModel;
+use crate::pool;
 use crate::train::Ensemble;
 use pg_graphcon::PowerGraph;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -199,17 +203,9 @@ pub fn predict_heads<const H: usize>(
         outputs[task].get_or_init(|| members[m].predict_batch(batch));
     };
     let workers = config.threads.max(1).min(tasks);
-    if workers <= 1 {
-        work();
-    } else {
-        // The scope joins every worker and re-raises the first panic.
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(&work);
-            }
-            work();
-        });
-    }
+    // Returns once every helper that joined has left, re-raising a
+    // helper's panic.
+    pool::run(workers.saturating_sub(1), &work);
 
     // Per head and chunk: sum the members in member order, then divide —
     // the reduction `Ensemble::predict_batch` performs.
@@ -221,7 +217,7 @@ pub fn predict_heads<const H: usize>(
             let mut acc = vec![0.0f64; chunk.len()];
             for m in first_member..first_member + n {
                 let slot = &outputs[c * members.len() + m];
-                // pg-lint: allow(panic_path, reason = "every task below `tasks` is claimed by exactly one worker and the scope above joined them all, so every slot is set")
+                // pg-lint: allow(panic_path, reason = "every task below `tasks` is claimed by exactly one worker and `pool::run` returned only after every worker left, so every slot is set")
                 let member = slot.get().expect("every task ran");
                 for (a, p) in acc.iter_mut().zip(member) {
                     *a += p;

@@ -18,15 +18,54 @@ pub const MAGIC: [u8; 8] = *b"PGSTORE\0";
 /// writes.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// CRC-32 (IEEE 802.3, reflected) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slice-by-8 lookup tables for the IEEE CRC-32: `CRC_TABLES[0][b]` is the
+/// CRC of byte `b`, and `CRC_TABLES[k][b]` advances it by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected) of `bytes`, eight bytes per step.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -260,6 +299,38 @@ fn read_u64(bytes: &[u8], pos: &mut usize, context: &'static str) -> Result<u64,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference CRC-32: one dependent shift/xor step per bit, the loop
+    /// `crc32` replaced.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The table-driven CRC equals the bitwise reference on the string
+        /// and on the seven prefixes just shorter than it, so every case
+        /// covers every length remainder mod 8 of the slice-by-8 loop.
+        #[test]
+        fn crc32_matches_bitwise_reference(
+            bytes in prop::collection::vec(any::<u8>(), 0..=4096usize),
+        ) {
+            for cut in 0..8.min(bytes.len() + 1) {
+                let prefix = &bytes[..bytes.len() - cut];
+                prop_assert_eq!(crc32(prefix), crc32_bitwise(prefix), "length {}", prefix.len());
+            }
+        }
+    }
 
     #[test]
     fn crc32_known_vectors() {

@@ -34,6 +34,7 @@ use crate::codec::{dec_graph, enc_graph, Dec, Enc};
 use crate::container::crc32;
 use crate::error::StoreError;
 use pg_graphcon::PowerGraph;
+use pg_util::metrics;
 use std::io::{Read, Write};
 
 /// First four bytes of every frame.
@@ -134,6 +135,13 @@ impl RawFrame {
     }
 }
 
+/// The CRC-32 a frame header carries for `payload`, timed as the
+/// `frame.crc` stage.
+fn payload_crc(payload: &[u8]) -> u32 {
+    let _t = metrics::stage("frame.crc");
+    crc32(payload)
+}
+
 /// Serializes a frame (header + payload) to bytes.
 pub fn encode_frame(frame: &RawFrame) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + frame.payload.len());
@@ -142,7 +150,7 @@ pub fn encode_frame(frame: &RawFrame) -> Vec<u8> {
     out.push(frame.tag);
     out.extend_from_slice(&0u16.to_le_bytes());
     out.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&frame.payload).to_le_bytes());
+    out.extend_from_slice(&payload_crc(&frame.payload).to_le_bytes());
     out.extend_from_slice(&frame.payload);
     out
 }
@@ -208,7 +216,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(RawFrame, usize), StoreError> {
         });
     }
     let payload = bytes[HEADER_LEN..HEADER_LEN + len].to_vec();
-    let actual = crc32(&payload);
+    let actual = payload_crc(&payload);
     if actual != crc {
         return Err(StoreError::CrcMismatch {
             section: "frame payload".to_string(),
@@ -264,7 +272,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<RawFrame>, StoreError> {
             StoreError::Io(e)
         }
     })?;
-    let actual = crc32(&payload);
+    let actual = payload_crc(&payload);
     if actual != crc {
         return Err(StoreError::CrcMismatch {
             section: "frame payload".to_string(),

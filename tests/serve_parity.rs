@@ -7,7 +7,9 @@
 
 use proptest::prelude::*;
 
-use powergear_repro::gnn::{Ensemble, InferenceEngine, ModelConfig, PowerModel, ServeConfig};
+use powergear_repro::gnn::{
+    predict_heads, Ensemble, InferenceEngine, ModelConfig, PowerModel, ServeConfig,
+};
 use powergear_repro::graphcon::{PowerGraph, Relation};
 use powergear_repro::powergear::PowerGear;
 use powergear_repro::util::Rng64;
@@ -151,4 +153,30 @@ fn estimate_graphs_with_matches_per_head_predict() {
             assert_eq!(bits(&d), dynamic, "dynamic at t={threads} bs={batch_size}");
         }
     }
+}
+
+/// Four callers share the process-wide inference helpers at once; each
+/// still gets `Ensemble::predict`'s answer, bit for bit.
+#[test]
+fn concurrent_predict_heads_match_predict() {
+    let graphs: Vec<PowerGraph> = (0..24).map(|i| synth_graph(9_000 + i)).collect();
+    let refs: Vec<&PowerGraph> = graphs.iter().collect();
+    let ensembles: Vec<Ensemble> = (0..4)
+        .map(|c| synth_ensemble(2 + c, 50 + c as u64))
+        .collect();
+    let start = std::sync::Barrier::new(ensembles.len());
+    std::thread::scope(|s| {
+        for (c, ensemble) in ensembles.iter().enumerate() {
+            let (refs, start) = (&refs, &start);
+            s.spawn(move || {
+                let expected = bits(&ensemble.predict(refs));
+                start.wait();
+                for batch_size in [1, 5, 24] {
+                    let config = ServeConfig::new(batch_size, 2 + c % 3);
+                    let ([got], _) = predict_heads([ensemble], refs, &config);
+                    assert_eq!(bits(&got), expected, "caller {c} bs={batch_size}");
+                }
+            });
+        }
+    });
 }

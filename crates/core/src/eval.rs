@@ -257,7 +257,10 @@ pub fn run_loko(datasets: &[KernelDataset], cfg: &EvalConfig) -> LokoReport {
                     "unknown kernel {k:?} in LOKO subset"
                 );
             }
-            datasets.iter().filter(|d| named.contains(&d.kernel)).collect()
+            datasets
+                .iter()
+                .filter(|d| named.contains(&d.kernel))
+                .collect()
         }
     };
     let subset: Vec<KernelDataset> = keep.into_iter().cloned().collect();

@@ -64,15 +64,24 @@ fn loko_out_writes_tsv_with_matching_digest() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     let tsv = std::fs::read_to_string(&path).expect("written table");
-    assert!(tsv.starts_with("# powergear loko config=hec-p_add-l3-h0"), "{tsv}");
-    assert!(tsv.contains("kernel\ttarget\tn_train\tn_test\tmape_pct\trmse_w"), "{tsv}");
+    assert!(
+        tsv.starts_with("# powergear loko config=hec-p_add-l3-h0"),
+        "{tsv}"
+    );
+    assert!(
+        tsv.contains("kernel\ttarget\tn_train\tn_test\tmape_pct\trmse_w"),
+        "{tsv}"
+    );
     // The digest trailer in the file matches the one printed to stdout.
     let file_digest = tsv
         .lines()
         .last()
         .and_then(|l| l.strip_prefix("# digest "))
         .expect("digest trailer");
-    assert!(stdout.contains(&format!("digest {file_digest}")), "{stdout}");
+    assert!(
+        stdout.contains(&format!("digest {file_digest}")),
+        "{stdout}"
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -122,7 +131,10 @@ fn bad_zoo_flag_values_fail_loudly() {
         (vec!["--arch", "transformer"], "unknown arch `transformer`"),
         (vec!["--pool", "median"], "unknown pool `median`"),
         (vec!["--layers", "0"], "`--layers` must be at least 1"),
-        (vec!["--heads", "2", "--arch", "gcn"], "requires the hec arch"),
+        (
+            vec!["--heads", "2", "--arch", "gcn"],
+            "requires the hec arch",
+        ),
         (
             vec!["--heads", "3", "--hidden", "16"],
             "`--heads 3` must divide `--hidden 16`",

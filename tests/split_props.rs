@@ -15,9 +15,7 @@
 
 use proptest::prelude::*;
 
-use powergear_repro::datasets::{
-    all_splits, leave_one_out, KernelDataset, PowerTarget, Sample,
-};
+use powergear_repro::datasets::{all_splits, leave_one_out, KernelDataset, PowerTarget, Sample};
 use powergear_repro::graphcon::PowerGraph;
 use powergear_repro::hls::{Directives, HlsReport};
 use powergear_repro::powersim::PowerBreakdown;

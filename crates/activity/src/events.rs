@@ -275,13 +275,14 @@ pub fn fold_sa_ar(words: &[u32], latency: u64) -> (f64, f64) {
 /// (`start + i * stride`) from a contiguous value buffer — the
 /// interpreter's fast path: the cycle side needs no per-event delta
 /// detection at all. Values are run-length segmented: a maximal equal
-/// stretch of at least `MIN_CONST_RUN` becomes a const run, everything
-/// else verbatim.
+/// stretch of at least `MIN_CONST_RUN` becomes a const run, and each
+/// stretch between const runs is one verbatim run, copied as one slice.
 pub fn encode_affine(out: &mut Vec<u32>, start_cycle: u64, stride: u32, vals: &[u32]) -> EventRef {
     let begin = out.len();
     let n = vals.len();
-    // Open verbatim run state: header index, or usize::MAX.
-    let mut open = usize::MAX;
+    let at = |i: usize| start_cycle + i as u64 * stride as u64;
+    // Values `vals[verbatim..i]` wait for the next const run or the end.
+    let mut verbatim = 0usize;
     let mut i = 0usize;
     while i < n {
         let v = vals[i];
@@ -289,28 +290,49 @@ pub fn encode_affine(out: &mut Vec<u32>, start_cycle: u64, stride: u32, vals: &[
         while j < n && vals[j] == v {
             j += 1;
         }
-        let run_len = (j - i) as u32;
-        if run_len >= MIN_CONST_RUN {
-            if open != usize::MAX {
-                out[open] = (out.len() - open - 4) as u32;
-                open = usize::MAX;
+        if j - i >= MIN_CONST_RUN as usize {
+            if verbatim < i {
+                let s = at(verbatim);
+                out.extend_from_slice(&[(i - verbatim) as u32, s as u32, (s >> 32) as u32, stride]);
+                out.extend_from_slice(&vals[verbatim..i]);
             }
-            let s = start_cycle + i as u64 * stride as u64;
-            out.extend_from_slice(&[CONST_BIT | run_len, s as u32, (s >> 32) as u32, stride, v]);
-        } else {
-            if open == usize::MAX {
-                open = out.len();
-                let s = start_cycle + i as u64 * stride as u64;
-                out.extend_from_slice(&[0, s as u32, (s >> 32) as u32, stride]);
-            }
-            for _ in 0..run_len {
-                out.push(v);
-            }
+            let s = at(i);
+            out.extend_from_slice(&[
+                CONST_BIT | (j - i) as u32,
+                s as u32,
+                (s >> 32) as u32,
+                stride,
+                v,
+            ]);
+            verbatim = j;
         }
         i = j;
     }
-    if open != usize::MAX {
-        out[open] = (out.len() - open - 4) as u32;
+    if verbatim < n {
+        let s = at(verbatim);
+        out.extend_from_slice(&[(n - verbatim) as u32, s as u32, (s >> 32) as u32, stride]);
+        out.extend_from_slice(&vals[verbatim..n]);
+    }
+    EventRef {
+        off: begin as u32,
+        len: (out.len() - begin) as u32,
+    }
+}
+
+/// Appends a copy of stream `src`, which is already in `out`, with every
+/// run's start cycle shifted by `delta` (mod 2^64). Run boundaries depend
+/// only on values, so for a stream from [`encode_affine`] this is exactly
+/// what encoding the same values `delta` cycles later gives; the trace
+/// interpreter encodes each aliased input stream this way.
+pub fn copy_shifted(out: &mut Vec<u32>, src: EventRef, delta: u64) -> EventRef {
+    let begin = out.len();
+    out.extend_from_within(src.off as usize..(src.off + src.len) as usize);
+    let mut i = begin;
+    while i < out.len() {
+        let start = (out[i + 1] as u64 | ((out[i + 2] as u64) << 32)).wrapping_add(delta);
+        out[i + 1] = start as u32;
+        out[i + 2] = (start >> 32) as u32;
+        i += run_words(out[i]);
     }
     EventRef {
         off: begin as u32,
@@ -1103,6 +1125,86 @@ mod tests {
         assert_eq!(ar_c.to_bits(), ar_n.to_bits());
         assert_eq!(sa_c.to_bits(), switching_activity(&ev, 13).to_bits());
         assert_eq!(ar_c.to_bits(), activation_rate(&ev, 13).to_bits());
+    }
+
+    /// The encoder `encode_affine` replaced, which appended verbatim values
+    /// one at a time; kept to pin the arena words.
+    fn encode_affine_per_value(out: &mut Vec<u32>, start_cycle: u64, stride: u32, vals: &[u32]) {
+        let n = vals.len();
+        let mut open = usize::MAX;
+        let mut i = 0usize;
+        while i < n {
+            let v = vals[i];
+            let mut j = i + 1;
+            while j < n && vals[j] == v {
+                j += 1;
+            }
+            let run_len = (j - i) as u32;
+            if run_len >= MIN_CONST_RUN {
+                if open != usize::MAX {
+                    out[open] = (out.len() - open - 4) as u32;
+                    open = usize::MAX;
+                }
+                let s = start_cycle + i as u64 * stride as u64;
+                out.extend_from_slice(&[
+                    CONST_BIT | run_len,
+                    s as u32,
+                    (s >> 32) as u32,
+                    stride,
+                    v,
+                ]);
+            } else {
+                if open == usize::MAX {
+                    open = out.len();
+                    let s = start_cycle + i as u64 * stride as u64;
+                    out.extend_from_slice(&[0, s as u32, (s >> 32) as u32, stride]);
+                }
+                for _ in 0..run_len {
+                    out.push(v);
+                }
+            }
+            i = j;
+        }
+        if open != usize::MAX {
+            out[open] = (out.len() - open - 4) as u32;
+        }
+    }
+
+    #[test]
+    fn affine_encode_words_match_per_value_encoder() {
+        let mut rng = pg_util::Rng64::new(7);
+        for case in 0..400 {
+            let n = 1 + rng.below(70);
+            let alphabet = 1 + rng.below(if case % 2 == 0 { 3 } else { 1000 });
+            let vals: Vec<u32> = (0..n).map(|_| rng.below(alphabet) as u32).collect();
+            let (start, stride) = (
+                (1u64 << 33) + rng.below(1000) as u64,
+                1 + rng.below(9) as u32,
+            );
+            let mut got = vec![9, 9];
+            let r = encode_affine(&mut got, start, stride, &vals);
+            let mut want = vec![9, 9];
+            encode_affine_per_value(&mut want, start, stride, &vals);
+            assert_eq!(got, want, "values {vals:?}");
+            assert_eq!((r.off, r.len as usize), (2, want.len() - 2));
+        }
+    }
+
+    #[test]
+    fn copy_shifted_equals_encoding_at_the_shifted_start() {
+        let mut rng = pg_util::Rng64::new(11);
+        for _ in 0..200 {
+            let n = 1 + rng.below(60);
+            let vals: Vec<u32> = (0..n).map(|_| rng.below(3) as u32).collect();
+            let stride = 1 + rng.below(5) as u32;
+            let (from, to) = (rng.below(1 << 20) as u64, rng.below(1 << 20) as u64);
+            let mut out = vec![0];
+            let first = encode_affine(&mut out, from, stride, &vals);
+            let copy = copy_shifted(&mut out, first, to.wrapping_sub(from));
+            let mut want = Vec::new();
+            encode_affine(&mut want, to, stride, &vals);
+            assert_eq!(&out[copy.off as usize..], &want[..]);
+        }
     }
 
     #[test]

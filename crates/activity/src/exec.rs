@@ -13,23 +13,58 @@
 //! preserving loop distribution — each block's reads depend only on earlier
 //! blocks' completed writes or its own earlier iterations.
 //!
+//! # Column plan
+//!
+//! Within a block every op fires exactly once per iteration, so every
+//! traced stream is one *value column* (one `u32` per iteration) stamped
+//! with an affine cycle progression (`block_base + op_start + it × stride`).
+//! A per-block plan maps each stream to a column so that every value is
+//! computed, stored, folded and encoded once:
+//!
+//! * **Aliasing.** An SSA operand whose producer ran earlier in the same
+//!   iteration reads exactly the producer's output, so its input stream
+//!   *is* the producer's column — no copy. Value-preserving ops (`sext`,
+//!   `zext`, `trunc`, `bitcast`, `br` and the loop-counter `phi`) alias
+//!   their source column too, and each induction variable has one counter
+//!   column.
+//! * **Row/column split.** Ops that do not depend on memory the block
+//!   writes — counter and address arithmetic, GEPs, loads of arrays the
+//!   block never stores, and float ops fed only by these — run op-major,
+//!   one kernel per opcode over whole columns, with an odometer walking the
+//!   iteration space (no div/mod counter decode). Only the memory-carried
+//!   chain — loads of arrays the block stores, their dependents, and the
+//!   stores — runs iteration by iteration in program order, because memory
+//!   order requires it.
+//! * **Fallback.** A block with an operand produced in another block or
+//!   later in the same block runs every op in row-major order. That order
+//!   reads such an operand as its register's last write: 0 for another
+//!   block's op, the previous iteration's value (0 in the first) for a
+//!   later op. A block whose integer values do not fit the 32-bit column
+//!   encoding takes the same order, so integer arithmetic stays exact.
+//!
 //! # Event storage
 //!
-//! Traced streams land in one flat per-design [`EventArena`] instead of
-//! one `Vec<(u64, u32)>` per stream: the iteration loop appends raw values
-//! to one column buffer per traced stream (4 bytes per event, recycled
-//! allocations), and at block end every column is run-length encoded into
-//! the arena as arithmetic-progression runs — within a block every op
-//! fires exactly once per iteration, so a stream's cycle stamps are
-//! affine (`block_base + op_start + it × stride`) by construction.
-//! [`TraceScratch`] recycles all the buffers across design points, which
-//! is what the dataset builder's work-stealing workers do.
+//! Traced streams land in one flat per-design [`EventArena`]. Once every
+//! block is evaluated, the encode pass walks the ops in program order and
+//! appends, per op, its value-operand input streams and then its output
+//! stream, each run-length segmented into affine runs. Each column is
+//! folded into SA/AR once and encoded from its values once; a later stream
+//! over the same column (an aliased input) copies that encoding and shifts
+//! every run's start cycle by the difference of the two ops' start cycles
+//! ([`copy_shifted`]). The arena is word-for-word what encoding every
+//! stream from its own values gives. [`TraceScratch`] recycles the value
+//! columns and the arena words across design points, which is what the
+//! dataset builder's work-stealing workers do.
+//!
+//! The two passes are timed once per design as the `sample.trace.eval` and
+//! `sample.trace.encode` stages of [`pg_util::metrics`].
 
-use crate::events::{encode_affine, EventArena, EventRef};
-use crate::sa::NodeActivity;
+use crate::events::{copy_shifted, encode_affine, EventArena, EventRef};
+use crate::sa::{sa_ar_values, NodeActivity};
 use crate::stimuli::Stimuli;
 use pg_hls::HlsDesign;
-use pg_ir::{Opcode, Operand, ValueId};
+use pg_ir::{IrOp, Opcode, Operand, ValueId};
+use pg_util::metrics;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -95,7 +130,7 @@ impl ExecutionTrace {
 /// Prefix index of each op's operand slots in the flattened per-operand
 /// input-ref table: returns `(input_start, total_slots)` with
 /// `ops.len() + 1` prefix entries.
-fn input_offsets(ops: &[pg_ir::IrOp]) -> (Vec<u32>, u32) {
+fn input_offsets(ops: &[IrOp]) -> (Vec<u32>, u32) {
     let mut input_start = Vec::with_capacity(ops.len() + 1);
     let mut total = 0u32;
     input_start.push(0);
@@ -106,14 +141,13 @@ fn input_offsets(ops: &[pg_ir::IrOp]) -> (Vec<u32>, u32) {
     (input_start, total)
 }
 
-/// Reusable interpreter buffers. One instance per worker thread: the
-/// per-stream column buffers and the arena's word buffer survive across
-/// design points, so steady-state tracing performs no large allocations.
+/// Reusable interpreter buffers. One instance per worker thread: the value
+/// columns and the arena's word buffer survive across design points, so
+/// steady-state tracing performs no large allocations.
 #[derive(Debug, Default)]
 pub struct TraceScratch {
-    /// One value buffer per traced stream of the current block — the
-    /// iteration loop appends to each, the encode pass reads each
-    /// sequentially.
+    /// Value columns of every block of the current design, block after
+    /// block (see the module docs); each keeps its capacity across designs.
     cols: Vec<Vec<u32>>,
     /// Recycled arena backing store.
     arena: Vec<u32>,
@@ -162,32 +196,47 @@ impl Val {
             Val::F(f) => f,
         }
     }
+
+    fn ty(self) -> Ty {
+        match self {
+            Val::I(_) => Ty::I,
+            Val::F(_) => Ty::F,
+        }
+    }
 }
 
-/// A pre-resolved operand: every string lookup (induction variables,
-/// scalar arguments) and [`ValueId`] indirection is resolved once per
-/// block, so the iteration loop is pure index arithmetic.
-#[derive(Debug, Clone, Copy)]
-enum PreOperand {
-    /// Result register of another op.
-    Reg(usize),
-    /// Integer constant (also unbound induction variables, which the
-    /// interpreter has always read as 0).
-    ConstI(i64),
-    /// Float constant.
-    ConstF(f32),
-    /// Induction variable, as an index into the block's dense counters.
-    Dim(usize),
-    /// Scalar argument, resolved from the stimuli.
-    Scalar(f32),
+/// Static type of a column written before the row phase. An integer
+/// column stores each value's low 32 bits (the traced bits) and is only
+/// kept when every value fits, so reading it back as `i32` is exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ty {
+    I,
+    F,
 }
 
-/// A memory address `offset + Σ coeff·counter[dim]`, precompiled from the
+impl Ty {
+    #[inline]
+    fn val(self, bits: u32) -> Val {
+        match self {
+            Ty::I => Val::I(bits as i32 as i64),
+            Ty::F => Val::F(f32::from_bits(bits)),
+        }
+    }
+}
+
+/// Does `v` survive the 32-bit column encoding?
+#[inline]
+fn fits(v: i64) -> bool {
+    v as i32 as i64 == v
+}
+
+/// A memory address `offset + Σ coeff[d]·counter[d]`, precompiled from the
 /// op's affine `linear` expression against the block's dimension order.
 #[derive(Debug, Clone)]
 struct PreAddr {
     slot: usize,
-    terms: Vec<(usize, i64)>,
+    /// Dense per-dimension coefficients.
+    coeff: Vec<i64>,
     offset: i64,
 }
 
@@ -195,24 +244,692 @@ impl PreAddr {
     #[inline]
     fn eval(&self, counters: &[i64]) -> i64 {
         let mut acc = self.offset;
-        for &(dim, coeff) in &self.terms {
-            acc += coeff * counters[dim];
+        for (&c, &x) in self.coeff.iter().zip(counters) {
+            acc += c * x;
         }
         acc
     }
 }
 
-/// One op of a block, fully pre-resolved for the iteration loop.
+/// Calls `f` with `offset + Σ coeff[d]·counter[d]` at every point of the
+/// iteration space in row-major order. An odometer: one add per point and
+/// one carry per wrap of an inner dimension, no div/mod decode.
+fn affine_walk(trips: &[usize], coeff: &[i64], offset: i64, mut f: impl FnMut(i64)) {
+    let Some((&inner, outer)) = trips.split_last() else {
+        f(offset);
+        return;
+    };
+    let step = coeff[outer.len()];
+    let mut ctr = vec![0usize; outer.len()];
+    let mut base = offset;
+    loop {
+        let mut v = base;
+        for _ in 0..inner {
+            f(v);
+            v += step;
+        }
+        let mut d = outer.len();
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            ctr[d] += 1;
+            base += coeff[d];
+            if ctr[d] < outer[d] {
+                break;
+            }
+            ctr[d] = 0;
+            base -= coeff[d] * outer[d] as i64;
+        }
+    }
+}
+
+/// Advances row-major counters by one iteration.
+#[inline]
+fn advance(counters: &mut [i64], trips: &[usize]) {
+    for d in (0..counters.len()).rev() {
+        counters[d] += 1;
+        if counters[d] < trips[d] as i64 {
+            return;
+        }
+        counters[d] = 0;
+    }
+}
+
+/// "No column yet" marker of the per-register column map.
+const NONE: usize = usize::MAX;
+
+/// How a planned op reads one operand (and which stream traces it).
+#[derive(Debug, Clone, Copy)]
+enum Arg {
+    /// SSA value whose producer `reg` ran earlier in this iteration:
+    /// column `col` holds its value.
+    Reg { col: usize, reg: usize },
+    /// Fallback order: the last write of register `reg` (another block's
+    /// op or a later one), traced in its own column `col`.
+    Lag { col: usize, reg: usize },
+    /// Induction variable `dim`, traced in its counter column `col`.
+    Dim { col: usize, dim: usize },
+    /// Untraced constant: literal, scalar argument or unbound induction
+    /// variable (read as 0).
+    Imm(Val),
+}
+
+/// Who writes a column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fill {
+    /// Counter column of one dimension, written up front.
+    Dim(usize),
+    /// Written op-major by a column-phase kernel.
+    Kernel,
+    /// Written iteration by iteration by a row-phase op.
+    Row,
+    /// Pushed iteration by iteration from a register (fallback order).
+    Lag,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Column {
+    fill: Fill,
+    /// Value type; meaningful for columns written before the row phase.
+    ty: Ty,
+}
+
+/// How a row-phase op reads one operand in the iteration loop.
+#[derive(Debug, Clone, Copy)]
+enum RowArg {
+    /// A column written before the row phase.
+    Col(usize, Ty),
+    /// A register written earlier in this iteration by a row-phase op.
+    Reg(usize),
+    /// A register's last write, pushed to column `.1` as it is read.
+    Lag(usize, usize),
+    /// The current counter of a dimension.
+    Dim(usize),
+    Imm(Val),
+}
+
+/// One op of a block plan.
 #[derive(Debug, Clone)]
-struct PreOp {
-    /// Index into `per_op`/`regs` (the op's ValueId index).
+struct PlanOp {
+    /// Register (ValueId index) the op writes.
     reg: usize,
     opcode: Opcode,
     /// Scheduled start cycle within the iteration.
     start: u64,
-    operands: Vec<PreOperand>,
+    /// Operands: `BlockPlan::args[args.0..args.1]`.
+    args: (usize, usize),
+    /// Output column.
+    out: usize,
+    /// `out` is the column of the op's source operand.
+    alias: bool,
     /// Precompiled address for gep/load/store.
     addr: Option<PreAddr>,
+}
+
+/// A row-phase op: `BlockPlan::ops[op]`, reading
+/// `BlockPlan::row_args[args.0..args.1]`.
+#[derive(Debug, Clone, Copy)]
+struct RowOp {
+    op: usize,
+    args: (usize, usize),
+}
+
+/// The column plan of one block (see the module docs).
+#[derive(Debug)]
+struct BlockPlan {
+    ops: Vec<PlanOp>,
+    args: Vec<Arg>,
+    cols: Vec<Column>,
+    /// Ops of the row phase, in program order.
+    row_ops: Vec<RowOp>,
+    row_args: Vec<RowArg>,
+    /// Ops of the column phase (indices into `ops`), in program order.
+    kernels: Vec<usize>,
+    /// The block's first column in `TraceScratch::cols`.
+    base: usize,
+    trips: Vec<usize>,
+    total: usize,
+    /// Cycles between consecutive iterations.
+    stride: u64,
+}
+
+impl BlockPlan {
+    fn new_col(&mut self, fill: Fill, ty: Ty) -> usize {
+        self.cols.push(Column { fill, ty });
+        self.cols.len() - 1
+    }
+
+    /// Type of an operand read before the row phase.
+    fn arg_ty(&self, arg: &Arg) -> Ty {
+        match *arg {
+            Arg::Reg { col, .. } | Arg::Lag { col, .. } | Arg::Dim { col, .. } => self.cols[col].ty,
+            Arg::Imm(v) => v.ty(),
+        }
+    }
+}
+
+/// Fewest operands `step` reads for `opcode` (a shorter op is left to the
+/// row phase, which fails on it exactly as the interpreter always has).
+fn min_operands(opcode: Opcode) -> usize {
+    use Opcode::*;
+    match opcode {
+        Alloca | GetElementPtr | Load | Phi | Br | Ret => 0,
+        Store | SExt | ZExt | Trunc | BitCast => 1,
+        FAdd | FSub | FMul | FDiv | FCmp | Add | Sub | Mul | ICmp => 2,
+        Select => 3,
+    }
+}
+
+/// Static result type of a column-phase op.
+fn out_ty(plan: &BlockPlan, opcode: Opcode, args: &[Arg]) -> Ty {
+    use Opcode::*;
+    match opcode {
+        Load | Store | FAdd | FSub | FMul | FDiv => Ty::F,
+        SExt | ZExt | Trunc | BitCast | Br => args.first().map_or(Ty::I, |a| plan.arg_ty(a)),
+        Phi => args.get(1).map_or(Ty::I, |a| plan.arg_ty(a)),
+        Select => plan.arg_ty(&args[1]),
+        Alloca | GetElementPtr | FCmp | Add | Sub | Mul | ICmp | Ret => Ty::I,
+    }
+}
+
+/// Array-slot and address of a memory op.
+fn pre_addr(op: &IrOp, dims: &[pg_ir::LoopDim], slot_of: &HashMap<&str, usize>) -> PreAddr {
+    let m = op.mem.as_ref().expect("mem op has memref");
+    let slot = *slot_of
+        .get(m.array.as_str())
+        .unwrap_or_else(|| panic!("array `{}` missing from stimuli", m.array));
+    let mut coeff = vec![0i64; dims.len()];
+    for (v, c) in &m.linear.terms {
+        let d = dims
+            .iter()
+            .position(|d| &d.var == v)
+            .unwrap_or_else(|| panic!("unbound loop variable `{v}` in affine expression"));
+        coeff[d] += *c;
+    }
+    PreAddr {
+        slot,
+        coeff,
+        offset: m.linear.offset,
+    }
+}
+
+/// Plans block `bi`, whose columns start at `base`: resolves every operand
+/// once, assigns columns, and splits the ops into the column and row
+/// phases. `row_major` forces the fallback order. `col_of` maps registers
+/// to columns while planning and is all [`NONE`] again on return.
+fn plan_block(
+    design: &HlsDesign,
+    (bi, base): (usize, usize),
+    stimuli: &Stimuli,
+    slot_of: &HashMap<&str, usize>,
+    mut row_major: bool,
+    col_of: &mut [usize],
+) -> BlockPlan {
+    let func = &design.ir;
+    let block = &func.blocks[bi];
+    let bs = &design.schedule.blocks[bi];
+    let trips: Vec<usize> = block.dims.iter().map(|d| d.trip).collect();
+    assert!(
+        trips.iter().all(|&t| t > 0),
+        "block `{}` has a zero-trip loop",
+        block.label
+    );
+    // An operand not produced earlier in the block forces the fallback.
+    for &vid in &block.ops {
+        let op = func.op(vid);
+        row_major |= op.value_operands().any(|v| col_of[v.idx()] == NONE);
+        col_of[vid.idx()] = 0;
+    }
+    for &vid in &block.ops {
+        col_of[vid.idx()] = NONE;
+    }
+    let mut stored: Vec<usize> = Vec::new();
+    for &vid in &block.ops {
+        let op = func.op(vid);
+        if op.opcode == Opcode::Store {
+            stored.push(pre_addr(op, &block.dims, slot_of).slot);
+        }
+    }
+
+    let mut plan = BlockPlan {
+        ops: Vec::with_capacity(block.ops.len()),
+        args: Vec::new(),
+        cols: Vec::new(),
+        row_ops: Vec::new(),
+        row_args: Vec::new(),
+        kernels: Vec::new(),
+        base,
+        total: trips.iter().product::<usize>().max(1),
+        trips,
+        stride: if block.pipelined {
+            bs.ii.max(1) as u64
+        } else {
+            bs.depth as u64 + 1
+        },
+    };
+    let mut dim_col = vec![NONE; block.dims.len()];
+    for (oi, &vid) in block.ops.iter().enumerate() {
+        let op = func.op(vid);
+        let a0 = plan.args.len();
+        for operand in &op.operands {
+            let arg = match operand {
+                Operand::Value(v) => match col_of[v.idx()] {
+                    NONE => Arg::Lag {
+                        col: plan.new_col(Fill::Lag, Ty::I),
+                        reg: v.idx(),
+                    },
+                    col => Arg::Reg { col, reg: v.idx() },
+                },
+                Operand::ConstF(c) => Arg::Imm(Val::F(*c as f32)),
+                Operand::ConstI(c) => Arg::Imm(Val::I(*c)),
+                Operand::IVar(name) => match block.dims.iter().position(|d| &d.var == name) {
+                    Some(dim) => {
+                        if dim_col[dim] == NONE {
+                            dim_col[dim] = plan.new_col(Fill::Dim(dim), Ty::I);
+                        }
+                        Arg::Dim {
+                            col: dim_col[dim],
+                            dim,
+                        }
+                    }
+                    None => Arg::Imm(Val::I(0)),
+                },
+                Operand::Scalar(name) => Arg::Imm(Val::F(stimuli.scalar(name))),
+            };
+            plan.args.push(arg);
+        }
+        let args = &plan.args[a0..];
+        let addr = matches!(
+            op.opcode,
+            Opcode::GetElementPtr | Opcode::Load | Opcode::Store
+        )
+        .then(|| pre_addr(op, &block.dims, slot_of));
+
+        let reads_row = args.iter().any(|a| match *a {
+            Arg::Reg { col, .. } | Arg::Lag { col, .. } => {
+                matches!(plan.cols[col].fill, Fill::Row | Fill::Lag)
+            }
+            _ => false,
+        });
+        let row = row_major
+            || reads_row
+            || args.len() < min_operands(op.opcode)
+            || match op.opcode {
+                Opcode::Store => true,
+                Opcode::Load => addr.as_ref().is_some_and(|a| stored.contains(&a.slot)),
+                Opcode::Select => plan.arg_ty(&args[1]) != plan.arg_ty(&args[2]),
+                _ => false,
+            };
+
+        let source = match op.opcode {
+            Opcode::SExt | Opcode::ZExt | Opcode::Trunc | Opcode::BitCast | Opcode::Br => {
+                args.first()
+            }
+            Opcode::Phi => args.get(1),
+            _ => None,
+        };
+        let (out, alias) = match source {
+            Some(Arg::Reg { col, .. } | Arg::Lag { col, .. } | Arg::Dim { col, .. }) => {
+                (*col, true)
+            }
+            _ if row => (plan.new_col(Fill::Row, Ty::I), false),
+            _ => {
+                let ty = out_ty(&plan, op.opcode, &plan.args[a0..]);
+                (plan.new_col(Fill::Kernel, ty), false)
+            }
+        };
+        col_of[vid.idx()] = out;
+
+        let index = plan.ops.len();
+        if row {
+            let r0 = plan.row_args.len();
+            for k in a0..plan.args.len() {
+                let read = match plan.args[k] {
+                    Arg::Reg { col, reg } => match plan.cols[col] {
+                        Column {
+                            fill: Fill::Row | Fill::Lag,
+                            ..
+                        } => RowArg::Reg(reg),
+                        Column { ty, .. } => RowArg::Col(col, ty),
+                    },
+                    Arg::Lag { col, reg } => RowArg::Lag(reg, col),
+                    Arg::Dim { dim, .. } => RowArg::Dim(dim),
+                    Arg::Imm(v) => RowArg::Imm(v),
+                };
+                plan.row_args.push(read);
+            }
+            plan.row_ops.push(RowOp {
+                op: index,
+                args: (r0, plan.row_args.len()),
+            });
+        } else if !alias {
+            plan.kernels.push(index);
+        }
+        plan.ops.push(PlanOp {
+            reg: vid.idx(),
+            opcode: op.opcode,
+            start: bs.start[oi] as u64,
+            args: (a0, plan.args.len()),
+            out,
+            alias,
+            addr,
+        });
+    }
+    for &vid in &block.ops {
+        col_of[vid.idx()] = NONE;
+    }
+    plan
+}
+
+/// A column-kernel operand.
+#[derive(Debug, Clone, Copy)]
+enum In<'a> {
+    Col(&'a [u32], Ty),
+    Imm(Val),
+}
+
+impl In<'_> {
+    #[inline]
+    fn at(self, i: usize) -> Val {
+        match self {
+            In::Col(c, ty) => ty.val(c[i]),
+            In::Imm(v) => v,
+        }
+    }
+}
+
+/// Float binary kernel over the operands' `as_f` view, writing `f`'s bits.
+fn float_bin(out: &mut Vec<u32>, n: usize, a: In<'_>, b: In<'_>, f: impl Fn(f32, f32) -> u32) {
+    let fb = f32::from_bits;
+    match (a, b) {
+        (In::Col(x, Ty::F), In::Col(y, Ty::F)) => {
+            out.extend(x[..n].iter().zip(&y[..n]).map(|(&x, &y)| f(fb(x), fb(y))));
+        }
+        (In::Col(x, Ty::F), In::Imm(y)) => {
+            let y = y.as_f();
+            out.extend(x[..n].iter().map(|&x| f(fb(x), y)));
+        }
+        (In::Imm(x), In::Col(y, Ty::F)) => {
+            let x = x.as_f();
+            out.extend(y[..n].iter().map(|&y| f(x, fb(y))));
+        }
+        _ => out.extend((0..n).map(|i| f(a.at(i).as_f(), b.at(i).as_f()))),
+    }
+}
+
+/// Integer binary kernel over the operands' `as_i` view. Stores each
+/// result's low 32 bits; returns whether every result fit.
+fn int_bin(
+    out: &mut Vec<u32>,
+    n: usize,
+    a: In<'_>,
+    b: In<'_>,
+    f: impl Fn(i64, i64) -> i64,
+) -> bool {
+    let iv = |x: u32| x as i32 as i64;
+    let mut ok = true;
+    let mut put = |v: i64| {
+        ok &= fits(v);
+        v as i32 as u32
+    };
+    match (a, b) {
+        (In::Col(x, Ty::I), In::Col(y, Ty::I)) => {
+            out.extend(
+                x[..n]
+                    .iter()
+                    .zip(&y[..n])
+                    .map(|(&x, &y)| put(f(iv(x), iv(y)))),
+            );
+        }
+        (In::Col(x, Ty::I), In::Imm(y)) => {
+            let y = y.as_i();
+            out.extend(x[..n].iter().map(|&x| put(f(iv(x), y))));
+        }
+        (In::Imm(x), In::Col(y, Ty::I)) => {
+            let x = x.as_i();
+            out.extend(y[..n].iter().map(|&y| put(f(x, iv(y)))));
+        }
+        _ => out.extend((0..n).map(|i| put(f(a.at(i).as_i(), b.at(i).as_i())))),
+    }
+    ok
+}
+
+/// Fills `out` with `n` copies of `v`; returns whether `v` fits a column.
+fn splat(out: &mut Vec<u32>, n: usize, v: Val) -> bool {
+    out.resize(n, v.bits());
+    match v {
+        Val::I(i) => fits(i),
+        Val::F(_) => true,
+    }
+}
+
+/// Runs one column-phase op over every iteration into `out` (the same
+/// values `step` computes per iteration). `ins` holds the first three
+/// operands (missing ones read as `I(0)`, which is what `step` substitutes
+/// for the optional operands of `phi` and `br`). Returns whether every
+/// integer result fits the column encoding.
+fn run_kernel(
+    op: &PlanOp,
+    ins: [In<'_>; 3],
+    out: &mut Vec<u32>,
+    trips: &[usize],
+    n: usize,
+    arrays: &[Vec<f32>],
+) -> bool {
+    use Opcode::*;
+    let [a, b, c] = ins;
+    match op.opcode {
+        GetElementPtr => {
+            let addr = op.addr.as_ref().expect("gep has address");
+            let mut ok = true;
+            affine_walk(trips, &addr.coeff, addr.offset, |v| {
+                ok &= fits(v);
+                out.push(v as i32 as u32);
+            });
+            ok
+        }
+        Load => {
+            let addr = op.addr.as_ref().expect("load has address");
+            let data = &arrays[addr.slot];
+            affine_walk(trips, &addr.coeff, addr.offset, |v| {
+                out.push(data[v as usize].to_bits());
+            });
+            true
+        }
+        FAdd => {
+            float_bin(out, n, a, b, |x, y| (x + y).to_bits());
+            true
+        }
+        FSub => {
+            float_bin(out, n, a, b, |x, y| (x - y).to_bits());
+            true
+        }
+        FMul => {
+            float_bin(out, n, a, b, |x, y| (x * y).to_bits());
+            true
+        }
+        FDiv => {
+            float_bin(out, n, a, b, |x, y| {
+                (if y == 0.0 { 0.0 } else { x / y }).to_bits()
+            });
+            true
+        }
+        FCmp => {
+            float_bin(out, n, a, b, |x, y| (x < y) as u32);
+            true
+        }
+        Add => int_bin(out, n, a, b, |x, y| x + y),
+        Sub => int_bin(out, n, a, b, |x, y| x - y),
+        Mul => int_bin(out, n, a, b, |x, y| x * y),
+        ICmp => int_bin(out, n, a, b, |x, y| (x < y) as i64),
+        Select => {
+            let mut ok = true;
+            out.extend((0..n).map(|i| {
+                let v = if a.at(i).as_i() != 0 {
+                    b.at(i)
+                } else {
+                    c.at(i)
+                };
+                ok &= v.ty() == Ty::F || fits(v.as_i());
+                v.bits()
+            }));
+            ok
+        }
+        // Value-preserving ops reach a kernel only over an immediate source
+        // (a column source is aliased instead).
+        SExt | ZExt | Trunc | BitCast | Br => splat(out, n, a.at(0)),
+        Phi => splat(out, n, b.at(0)),
+        Alloca | Ret => splat(out, n, Val::I(0)),
+        Store => unreachable!("stores run in the row phase"),
+    }
+}
+
+/// Evaluates one planned block into its columns (`cols` starts at the
+/// block's first column) and the arrays. Returns `false`, with the arrays
+/// untouched, when an integer column would not hold its values exactly —
+/// the caller then re-plans the block in fallback order.
+fn eval_block(
+    plan: &BlockPlan,
+    cols: &mut [Vec<u32>],
+    arrays: &mut [Vec<f32>],
+    regs: &mut [Val],
+    vals: &mut Vec<Val>,
+) -> bool {
+    let (trips, n) = (&plan.trips[..], plan.total);
+    for c in cols.iter_mut() {
+        c.clear();
+        c.reserve(n);
+    }
+    let mut unit = vec![0i64; trips.len()];
+    for (ci, col) in plan.cols.iter().enumerate() {
+        if let Fill::Dim(d) = col.fill {
+            unit[d] = 1;
+            let out = &mut cols[ci];
+            affine_walk(trips, &unit, 0, |v| out.push(v as u32));
+            unit[d] = 0;
+        }
+    }
+
+    // Column phase: op-major, one kernel per op.
+    for &oi in &plan.kernels {
+        let op = &plan.ops[oi];
+        let mut out = std::mem::take(&mut cols[op.out]);
+        let mut ins = [In::Imm(Val::I(0)); 3];
+        for (slot, arg) in ins.iter_mut().zip(&plan.args[op.args.0..op.args.1]) {
+            *slot = match *arg {
+                Arg::Reg { col, .. } | Arg::Lag { col, .. } | Arg::Dim { col, .. } => {
+                    In::Col(&cols[col], plan.cols[col].ty)
+                }
+                Arg::Imm(v) => In::Imm(v),
+            };
+        }
+        let ok = run_kernel(op, ins, &mut out, trips, n, arrays);
+        cols[op.out] = out;
+        if !ok {
+            return false;
+        }
+    }
+
+    // Row phase: the memory-carried chain, iteration by iteration.
+    if plan.row_ops.is_empty() {
+        return true;
+    }
+    regs.fill(Val::I(0));
+    let mut counters = vec![0i64; trips.len()];
+    for it in 0..n {
+        for ro in &plan.row_ops {
+            let op = &plan.ops[ro.op];
+            vals.clear();
+            for read in &plan.row_args[ro.args.0..ro.args.1] {
+                vals.push(match *read {
+                    RowArg::Col(c, ty) => ty.val(cols[c][it]),
+                    RowArg::Reg(r) => regs[r],
+                    RowArg::Lag(r, c) => {
+                        cols[c].push(regs[r].bits());
+                        regs[r]
+                    }
+                    RowArg::Dim(d) => Val::I(counters[d]),
+                    RowArg::Imm(v) => v,
+                });
+            }
+            let result = step(op.opcode, op.addr.as_ref(), vals, &counters, arrays);
+            regs[op.reg] = result;
+            if !op.alias {
+                cols[op.out].push(result.bits());
+            }
+        }
+        advance(&mut counters, trips);
+    }
+    true
+}
+
+/// Per-column caches of the encode pass.
+#[derive(Default)]
+struct Streams {
+    /// SA/AR fold of each column.
+    fold: Vec<Option<(f64, f64)>>,
+    /// First encoding of each column and the start cycle it was stamped at.
+    enc: Vec<Option<(EventRef, u64)>>,
+}
+
+/// Appends the traced streams of one evaluated block, whose first
+/// iteration issues at `block_base`, to `words` in the interpreter's order
+/// — per op, value-operand inputs then the output — and writes their refs
+/// and the ops' activities into `trace`.
+fn encode_block(
+    plan: &BlockPlan,
+    cols: &[Vec<u32>],
+    block_base: u64,
+    words: &mut Vec<u32>,
+    streams: &mut Streams,
+    trace: &mut ExecutionTrace,
+) {
+    let (stride, latency) = (plan.stride as u32, trace.latency);
+    streams.fold.clear();
+    streams.fold.resize(plan.cols.len(), None);
+    streams.enc.clear();
+    streams.enc.resize(plan.cols.len(), None);
+    let Streams { fold, enc } = streams;
+    let mut fold_of = |c: usize| *fold[c].get_or_insert_with(|| sa_ar_values(&cols[c], latency));
+    let mut stream = |c: usize, start: u64, words: &mut Vec<u32>| match enc[c] {
+        Some((first, at)) => copy_shifted(words, first, start.wrapping_sub(at)),
+        None => {
+            let r = encode_affine(words, start, stride, &cols[c]);
+            enc[c] = Some((r, start));
+            r
+        }
+    };
+    for op in &plan.ops {
+        let start = block_base + op.start;
+        let base = trace.input_start[op.reg] as usize;
+        let args = &plan.args[op.args.0..op.args.1];
+        let mut sa_in_sum = 0.0f64;
+        for (k, arg) in args.iter().enumerate() {
+            match *arg {
+                Arg::Reg { col, .. } | Arg::Lag { col, .. } => {
+                    trace.inputs_flat[base + k] = stream(col, start, words);
+                    sa_in_sum += fold_of(col).0;
+                }
+                Arg::Dim { col, .. } => sa_in_sum += fold_of(col).0,
+                Arg::Imm(_) => {}
+            }
+        }
+        let (sa_out, ar) = fold_of(op.out);
+        trace.outputs[op.reg] = stream(op.out, start, words);
+        let sa_in = if args.is_empty() {
+            0.0
+        } else {
+            sa_in_sum / args.len() as f64
+        };
+        trace.activities[op.reg] = NodeActivity {
+            ar,
+            sa_in,
+            sa_out,
+            sa_overall: sa_in + sa_out,
+        };
+    }
 }
 
 /// Executes `design` with `stimuli`, producing the full activity trace.
@@ -227,9 +944,9 @@ pub fn execute(design: &HlsDesign, stimuli: &Stimuli) -> ExecutionTrace {
     execute_in(design, stimuli, &mut TraceScratch::new())
 }
 
-/// [`execute`] against reusable buffers: the block row buffer and arena
-/// words come from (and the row buffer returns to) `scratch`. Bit-identical
-/// to `execute` — buffer reuse never leaks into trace contents.
+/// [`execute`] against reusable buffers: the value columns and arena words
+/// come from (and the columns return to) `scratch`. Bit-identical to
+/// `execute` — buffer reuse never leaks into trace contents.
 ///
 /// # Panics
 ///
@@ -251,235 +968,93 @@ pub fn execute_in(
         array_names.push(name.clone());
         array_data.push(data.clone());
     }
-
-    // Flat stream-ref tables (filled per block below).
-    let mut outputs: Vec<EventRef> = vec![EventRef::EMPTY; func.ops.len()];
-    let (input_start, n_inputs) = input_offsets(&func.ops);
-    let mut inputs_flat: Vec<EventRef> = vec![EventRef::EMPTY; n_inputs as usize];
-    let mut activities: Vec<NodeActivity> = vec![NodeActivity::default(); func.ops.len()];
-
-    let mut words = std::mem::take(&mut scratch.arena);
-    words.clear();
     let cols = &mut scratch.cols;
 
-    // Result registers; reset per block (ops never read across blocks —
-    // dataflow between blocks goes through the arrays).
-    let mut regs: Vec<Val> = vec![Val::I(0); func.ops.len()];
-    let mut vals: Vec<Val> = Vec::with_capacity(8);
-
-    let mut block_base: u64 = 0;
-    for (bi, block) in func.blocks.iter().enumerate() {
-        let bs = &design.schedule.blocks[bi];
-        let iter_stride: u64 = if block.pipelined {
-            bs.ii.max(1) as u64
-        } else {
-            bs.depth as u64 + 1
-        };
-        let trips: Vec<usize> = block.dims.iter().map(|d| d.trip).collect();
-        let total: usize = trips.iter().product::<usize>().max(1);
-
-        // Pre-resolve every op of the block once: operand kinds, scalar
-        // values, dimension indices and affine addresses.
-        let dim_of = |name: &str| block.dims.iter().position(|d| d.var == name);
-        let pre_ops: Vec<PreOp> = block
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(oi, &vid)| {
-                let op = func.op(vid);
-                let operands: Vec<PreOperand> = op
-                    .operands
-                    .iter()
-                    .map(|operand| match operand {
-                        Operand::Value(v) => PreOperand::Reg(v.idx()),
-                        Operand::ConstF(c) => PreOperand::ConstF(*c as f32),
-                        Operand::ConstI(c) => PreOperand::ConstI(*c),
-                        Operand::IVar(name) => match dim_of(name) {
-                            Some(d) => PreOperand::Dim(d),
-                            None => PreOperand::ConstI(0),
-                        },
-                        Operand::Scalar(name) => PreOperand::Scalar(stimuli.scalar(name)),
-                    })
-                    .collect();
-                let addr = match op.opcode {
-                    Opcode::GetElementPtr | Opcode::Load | Opcode::Store => {
-                        let m = op.mem.as_ref().expect("mem op has memref");
-                        let slot = *slot_of
-                            .get(m.array.as_str())
-                            .unwrap_or_else(|| panic!("array `{}` missing from stimuli", m.array));
-                        let terms = m
-                            .linear
-                            .terms
-                            .iter()
-                            .map(|(v, c)| {
-                                let d = dim_of(v).unwrap_or_else(|| {
-                                    panic!("unbound loop variable `{v}` in affine expression")
-                                });
-                                (d, *c)
-                            })
-                            .collect();
-                        Some(PreAddr {
-                            slot,
-                            terms,
-                            offset: m.linear.offset,
-                        })
-                    }
-                    _ => None,
-                };
-                PreOp {
-                    reg: vid.idx(),
-                    opcode: op.opcode,
-                    start: bs.start[oi] as u64,
-                    operands,
-                    addr,
+    // Eval pass: plan and evaluate every block into its value columns.
+    let plans: Vec<BlockPlan> = {
+        let _t = metrics::stage("sample.trace.eval");
+        let mut plans = Vec::with_capacity(func.blocks.len());
+        let mut regs: Vec<Val> = vec![Val::I(0); func.ops.len()];
+        let mut vals: Vec<Val> = Vec::with_capacity(8);
+        let mut col_of: Vec<usize> = vec![NONE; func.ops.len()];
+        let mut base = 0usize;
+        for bi in 0..func.blocks.len() {
+            let mut plan = plan_block(design, (bi, base), stimuli, &slot_of, false, &mut col_of);
+            // The fallback order always evaluates, so this runs at most twice.
+            loop {
+                let end = base + plan.cols.len();
+                if cols.len() < end {
+                    cols.resize_with(end, Vec::new);
                 }
-            })
-            .collect();
-
-        // One column buffer per traced stream. The iteration loop pushes
-        // values in a fixed order — per op: traced inputs (operand order),
-        // then the output — so buffer `s` holds stream `s`. Constant
-        // operand streams (ConstI/ConstF/Scalar) are not traced: their
-        // switching activity is identically zero, which is exactly what
-        // downstream consumers compute from an empty stream, and no graph
-        // edge ever reads them.
-        let width: usize = pre_ops
-            .iter()
-            .map(|p| {
-                1 + p
-                    .operands
-                    .iter()
-                    .filter(|o| matches!(o, PreOperand::Reg(_) | PreOperand::Dim(_)))
-                    .count()
-            })
-            .sum();
-        while cols.len() < width {
-            cols.push(Vec::new());
-        }
-        for c in cols[..width].iter_mut() {
-            c.clear();
-            c.reserve(total);
-        }
-
-        // Dense induction-variable counters, row-major decoded per iteration.
-        let mut counters: Vec<i64> = vec![0; block.dims.len()];
-        regs.fill(Val::I(0));
-
-        for it in 0..total {
-            let mut rem = it;
-            for (d, &trip) in (0..counters.len()).zip(&trips).rev() {
-                counters[d] = (rem % trip) as i64;
-                rem /= trip;
-            }
-            let mut slot = 0usize;
-            for pre in &pre_ops {
-                vals.clear();
-                for operand in &pre.operands {
-                    let v = match *operand {
-                        PreOperand::Reg(r) => regs[r],
-                        PreOperand::ConstI(c) => {
-                            vals.push(Val::I(c));
-                            continue;
-                        }
-                        PreOperand::ConstF(c) => {
-                            vals.push(Val::F(c));
-                            continue;
-                        }
-                        PreOperand::Dim(d) => Val::I(counters[d]),
-                        PreOperand::Scalar(s) => {
-                            vals.push(Val::F(s));
-                            continue;
-                        }
-                    };
-                    cols[slot].push(v.bits());
-                    slot += 1;
-                    vals.push(v);
+                if eval_block(
+                    &plan,
+                    &mut cols[base..end],
+                    &mut array_data,
+                    &mut regs,
+                    &mut vals,
+                ) {
+                    break;
                 }
-                let result = step(pre, &vals, &counters, &mut array_data);
-                regs[pre.reg] = result;
-                cols[slot].push(result.bits());
-                slot += 1;
+                plan = plan_block(design, (bi, base), stimuli, &slot_of, true, &mut col_of);
             }
+            base += plan.cols.len();
+            plans.push(plan);
         }
+        plans
+    };
 
-        // Encode the edge-visible streams into the arena and fold every
-        // op's activity from the raw columns. Induction-variable operand
-        // streams are never referenced by a graph edge, so they are folded
-        // but not encoded; constant operands contribute zero activity but
-        // still count in the per-operand average (matching the empty
-        // streams the naive path would fold).
-        let latency = design.report.latency_cycles;
-        let mut slot = 0usize;
-        for pre in &pre_ops {
-            let start_cycle = block_base + pre.start;
-            let stride = iter_stride as u32;
-            let base = input_start[pre.reg] as usize;
-            let mut sa_in_sum = 0.0f64;
-            for (k, operand) in pre.operands.iter().enumerate() {
-                match operand {
-                    PreOperand::Reg(_) => {
-                        inputs_flat[base + k] =
-                            encode_affine(&mut words, start_cycle, stride, &cols[slot]);
-                        sa_in_sum += crate::sa::sa_ar_values(&cols[slot], latency).0;
-                        slot += 1;
-                    }
-                    PreOperand::Dim(_) => {
-                        sa_in_sum += crate::sa::sa_ar_values(&cols[slot], latency).0;
-                        slot += 1;
-                    }
-                    _ => {}
-                }
-            }
-            let (sa_out, ar) = crate::sa::sa_ar_values(&cols[slot], latency);
-            outputs[pre.reg] = encode_affine(&mut words, start_cycle, stride, &cols[slot]);
-            slot += 1;
-            let sa_in = if pre.operands.is_empty() {
-                0.0
-            } else {
-                sa_in_sum / pre.operands.len() as f64
-            };
-            activities[pre.reg] = NodeActivity {
-                ar,
-                sa_in,
-                sa_out,
-                sa_overall: sa_in + sa_out,
-            };
-        }
-        debug_assert_eq!(slot, width);
-
-        block_base += total as u64 * iter_stride + bs.depth as u64 + 1;
-    }
-
-    let final_arrays: HashMap<String, Vec<f32>> = array_names.into_iter().zip(array_data).collect();
-    ExecutionTrace {
-        arena: Arc::new(EventArena::from_words(words)),
-        outputs,
-        inputs_flat,
+    // Encode pass: fold and encode every block's streams in program order.
+    let (input_start, n_inputs) = input_offsets(&func.ops);
+    let mut trace = ExecutionTrace {
+        arena: Arc::new(EventArena::new()),
+        outputs: vec![EventRef::EMPTY; func.ops.len()],
+        inputs_flat: vec![EventRef::EMPTY; n_inputs as usize],
         input_start,
-        activities,
+        activities: vec![NodeActivity::default(); func.ops.len()],
         latency: design.report.latency_cycles,
-        final_arrays,
+        final_arrays: HashMap::new(),
+    };
+    let mut words = std::mem::take(&mut scratch.arena);
+    words.clear();
+    {
+        let _t = metrics::stage("sample.trace.encode");
+        let mut streams = Streams::default();
+        let mut block_base: u64 = 0;
+        for (plan, bs) in plans.iter().zip(&design.schedule.blocks) {
+            let cols = &cols[plan.base..plan.base + plan.cols.len()];
+            encode_block(plan, cols, block_base, &mut words, &mut streams, &mut trace);
+            block_base += plan.total as u64 * plan.stride + bs.depth as u64 + 1;
+        }
     }
+    trace.arena = Arc::new(EventArena::from_words(words));
+    trace.final_arrays = array_names.into_iter().zip(array_data).collect();
+    trace
 }
 
 #[inline]
-fn step(pre: &PreOp, vals: &[Val], counters: &[i64], arrays: &mut [Vec<f32>]) -> Val {
-    match pre.opcode {
+fn step(
+    opcode: Opcode,
+    addr: Option<&PreAddr>,
+    vals: &[Val],
+    counters: &[i64],
+    arrays: &mut [Vec<f32>],
+) -> Val {
+    match opcode {
         Opcode::Alloca => Val::I(0),
         Opcode::GetElementPtr => {
-            let a = pre.addr.as_ref().expect("gep has address");
+            let a = addr.expect("gep has address");
             Val::I(a.eval(counters))
         }
         Opcode::Load => {
-            let a = pre.addr.as_ref().expect("load has address");
-            let addr = a.eval(counters);
-            Val::F(arrays[a.slot][addr as usize])
+            let a = addr.expect("load has address");
+            let at = a.eval(counters);
+            Val::F(arrays[a.slot][at as usize])
         }
         Opcode::Store => {
-            let a = pre.addr.as_ref().expect("store has address");
-            let addr = a.eval(counters);
+            let a = addr.expect("store has address");
+            let at = a.eval(counters);
             let value = vals[0].as_f();
-            arrays[a.slot][addr as usize] = value;
+            arrays[a.slot][at as usize] = value;
             Val::F(value)
         }
         Opcode::FAdd => Val::F(vals[0].as_f() + vals[1].as_f()),

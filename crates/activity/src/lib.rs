@@ -8,7 +8,11 @@
 //! * [`Stimuli`] — deterministic testbench inputs per kernel;
 //! * [`execute`] — an IR interpreter that runs a scheduled design over its
 //!   iteration spaces, stamping every produced/consumed value with the FSMD
-//!   cycle it occurs in (the "detection probe" equivalent);
+//!   cycle it occurs in (the "detection probe" equivalent). It works a
+//!   column at a time: each traced value is computed, stored, folded and
+//!   encoded once (SSA operands alias their producer's column), ops free of
+//!   memory the block writes run op-major over whole columns, and only the
+//!   memory-carried chain runs iteration by iteration (see [`exec`]);
 //! * [`switching_activity`] / [`activation_rate`] — the Eq. 2 / Eq. 3 math
 //!   over traced bit vectors (Hamming distance between consecutive values,
 //!   normalized by design latency);

@@ -613,7 +613,8 @@ fn cmd_dse(args: &[String]) -> Result<(), String> {
         kernel.name,
         dse_cfg.budget_frac * 100.0
     );
-    let out = pg_dse::run_dse_with_engine(&latency, &truth, &graphs, &engine, &dse_cfg);
+    let predicted = engine.predict(&graphs);
+    let out = pg_dse::run_dse(&latency, &truth, &predicted, &dse_cfg);
     println!("{}", out.summary(graphs.len()));
     for p in &out.approx_frontier {
         println!(

@@ -186,7 +186,7 @@ impl Catalog {
     /// wildcard fallbacks (again first-by-name).
     fn route(&self, kernel: &str) -> Option<Arc<LoadedModel>> {
         let mut wildcard = None;
-        for (_, (_, model)) in &self.entries {
+        for (_, model) in self.entries.values() {
             if model.kernels.iter().any(|k| k == kernel) {
                 return Some(Arc::clone(model));
             }

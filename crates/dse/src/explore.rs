@@ -17,8 +17,6 @@
 
 use crate::adrs::{adrs, point_distance};
 use crate::pareto::{pareto_frontier, Point};
-use pg_gnn::InferenceEngine;
-use pg_graphcon::PowerGraph;
 use pg_util::Rng64;
 
 /// DSE configuration.
@@ -188,34 +186,11 @@ pub fn run_dse(
     }
 }
 
-/// Runs the iterative DSE loop with predictions produced by one batched
-/// pass of the serving engine over the candidate graphs — the paper's
-/// actual calling pattern ("utilize PowerGear to estimate dynamic power"
-/// once per candidate design point).
-///
-/// `graphs[i]` must be the constructed power graph of design point `i`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty, or if the engine's
-/// ensemble is empty.
-pub fn run_dse_with_engine(
-    latency: &[f64],
-    true_power: &[f64],
-    graphs: &[&PowerGraph],
-    engine: &InferenceEngine<'_>,
-    cfg: &DseConfig,
-) -> DseOutcome {
-    assert_eq!(latency.len(), graphs.len(), "graph count mismatch");
-    let predicted = engine.predict(graphs);
-    run_dse(latency, true_power, &predicted, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_gnn::{Ensemble, ModelConfig, PowerModel, ServeConfig};
-    use pg_graphcon::Relation;
+    use pg_gnn::{Ensemble, InferenceEngine, ModelConfig, PowerModel, ServeConfig};
+    use pg_graphcon::{PowerGraph, Relation};
 
     /// A synthetic space with a clean latency/power tradeoff plus noise.
     fn space(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
@@ -338,11 +313,12 @@ mod tests {
         };
         let (lat, pow) = space(30, 8);
         let cfg = DseConfig::with_budget(0.4, 5);
-        // precompute with the sequential path, then drive DSE via the engine
+        // precompute with the sequential path, then drive DSE with one
+        // batched engine pass over the same graphs
         let predicted = ensemble.predict(&refs);
         let expect = run_dse(&lat, &pow, &predicted, &cfg);
         let engine = InferenceEngine::with_config(&ensemble, ServeConfig::new(7, 2));
-        let got = run_dse_with_engine(&lat, &pow, &refs, &engine, &cfg);
+        let got = run_dse(&lat, &pow, &engine.predict(&refs), &cfg);
         assert_eq!(expect, got);
     }
 }

@@ -20,5 +20,5 @@ pub mod explore;
 pub mod pareto;
 
 pub use adrs::{adrs, point_distance};
-pub use explore::{run_dse, run_dse_with_engine, DseConfig, DseOutcome};
+pub use explore::{run_dse, DseConfig, DseOutcome};
 pub use pareto::{dominates, pareto_frontier, Point};

@@ -1,15 +1,14 @@
-//! Cold-vs-warm start driver: quantifies what `pg_store` buys a serving
-//! process.
+//! Cold-vs-warm start driver: quantifies what the `.pgm` model artifact
+//! buys a serving process.
 //!
 //! ```text
 //! cargo run --release -p powergear_bench --bin coldstart [-- --full]
 //! ```
 //!
-//! The cold path is what `powergear serve` did before persistence landed:
-//! synthesize the design space, label it, train an ensemble, then serve.
-//! The warm path is the production story: load the spilled `HlsCache`, load
-//! the `.pgm` model artifact, then serve — zero synthesis, zero training
-//! epochs. Outputs are asserted bit-identical between the two paths.
+//! The cold path synthesizes the design space, labels it and trains an
+//! ensemble. The warm path is the production story: load the `.pgm` model
+//! artifact and serve — zero training epochs. Predictions are asserted
+//! bit-identical between the two paths.
 //!
 //! The run fails (exit 1) unless training took at least
 //! [`WARM_START_FLOOR`] times the median of [`LOAD_REPS`] artifact loads:
@@ -37,9 +36,8 @@ fn main() -> ExitCode {
         seed: 1,
         threads: 1,
     };
-    let tmp = std::env::temp_dir();
-    let cache_path = tmp.join(format!("pg_coldstart_cache_{}.pgstore", std::process::id()));
-    let model_path = tmp.join(format!("pg_coldstart_model_{}.pgm", std::process::id()));
+    let model_path =
+        std::env::temp_dir().join(format!("pg_coldstart_model_{}.pgm", std::process::id()));
 
     // --- Cold path: synthesize + label + train ---
     let t_cold = Instant::now();
@@ -56,8 +54,7 @@ fn main() -> ExitCode {
     let train_s = t_train0.elapsed().as_secs_f64();
     let cold_s = t_cold.elapsed().as_secs_f64();
 
-    // Persist both layers for the warm path.
-    let spilled = cache.save_to(&cache_path).expect("cache spill");
+    // Persist the model for the warm path.
     ModelArtifact {
         meta: ArtifactMeta::now(&ds.kernel, "dynamic"),
         ensembles: vec![("dynamic".into(), ensemble.clone())],
@@ -66,18 +63,12 @@ fn main() -> ExitCode {
     .save(&model_path)
     .expect("artifact save");
 
-    // --- Warm path: restore cache + load model ---
-    let t_warm = Instant::now();
-    let warm_cache = HlsCache::load_from(&cache_path).expect("cache restore");
-    let warm_ds = build_kernel_dataset_cached(&kernel, &ds_cfg, &warm_cache);
-    let t_replay = t_warm.elapsed().as_secs_f64();
+    // --- Warm path: load the model ---
     let t_load0 = Instant::now();
     let loaded = ModelArtifact::load(&model_path).expect("artifact load");
     let warm_ensemble = loaded.ensemble("dynamic").expect("dynamic head");
     let load_s = t_load0.elapsed().as_secs_f64();
-    let warm_s = t_warm.elapsed().as_secs_f64();
 
-    assert_eq!(ds, warm_ds, "restored cache must rebuild identical data");
     let graphs: Vec<&PowerGraph> = ds.samples.iter().map(|s| &s.graph).collect();
     let cold_bits: Vec<u64> = ensemble
         .predict(&graphs)
@@ -110,19 +101,15 @@ fn main() -> ExitCode {
         "  cold: synthesize+label {t_synth:.3}s + train({} epochs) {train_s:.3}s = {cold_s:.3}s",
         epochs
     );
+    println!("  warm: model load {:.3}ms", load_s * 1e3);
     println!(
-        "  warm: cache restore+rebuild {t_replay:.3}s + model load {load_s:.3}s = {warm_s:.3}s"
-    );
-    println!(
-        "  speedup: {:.1}x ({} designs spilled, predictions bit-identical, 0 training epochs warm)",
-        cold_s / warm_s.max(1e-9),
-        spilled
+        "  speedup: {:.1}x (predictions bit-identical, 0 training epochs warm)",
+        cold_s / load_s.max(1e-9)
     );
     println!(
         "  warm start: train {train_s:.3}s / median of {LOAD_REPS} loads {:.3}ms = {warm_start:.1}x (floor {WARM_START_FLOOR}x)",
         load_median_s * 1e3
     );
-    std::fs::remove_file(&cache_path).ok();
     std::fs::remove_file(&model_path).ok();
     if warm_start < WARM_START_FLOOR {
         eprintln!("error: training took only {warm_start:.1}x the median artifact load (floor {WARM_START_FLOOR}x)");

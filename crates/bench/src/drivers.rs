@@ -14,8 +14,8 @@ use pg_datasets::{
     PowerTarget,
 };
 use pg_gnn::{
-    table2_variants, train_ensemble, train_single, Arch, Ensemble, LabelNorm, ModelConfig,
-    TrainConfig,
+    predict_heads, table2_variants, train_ensemble, train_single, Arch, LabelNorm, ModelConfig,
+    ServeConfig, TrainConfig,
 };
 use pg_graphcon::PowerGraph;
 use pg_hlpow::HlPowModel;
@@ -328,8 +328,11 @@ pub fn evaluate_all(cfg: &EvalConfig) -> EvalContext {
             &cfg.train_config(PowerTarget::Dynamic, ModelConfig::hec(cfg.hidden)),
         );
         // batched multi-core serving; bit-identical to the sequential path
-        let pg_total = pg_total_model.engine().predict(&test_graphs);
-        let pg_dyn = pg_dyn_model.engine().predict(&test_graphs);
+        let [pg_total, pg_dyn] = predict_heads(
+            [&pg_total_model, &pg_dyn_model],
+            &test_graphs,
+            &ServeConfig::default(),
+        );
 
         // HL-Pow.
         eprintln!("[eval]   training HL-Pow...");
@@ -498,17 +501,6 @@ pub fn ablation_all(cfg: &EvalConfig) -> Vec<(String, String, f64)> {
     }
     std::fs::write(&path, text).ok();
     out
-}
-
-/// Trains a dynamic-power PowerGear ensemble for one held-out kernel
-/// (helper for DSE binaries that need the model itself).
-pub fn train_pg_dynamic(cfg: &EvalConfig, datasets: &[KernelDataset], held_out: &str) -> Ensemble {
-    let split = leave_one_out(datasets, held_out);
-    let train_dyn = split.train_labeled(PowerTarget::Dynamic);
-    train_ensemble(
-        &train_dyn,
-        &cfg.train_config(PowerTarget::Dynamic, ModelConfig::hec(cfg.hidden)),
-    )
 }
 
 // ---- CSV cache ----------------------------------------------------------

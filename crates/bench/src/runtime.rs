@@ -12,7 +12,7 @@
 
 use pg_activity::{execute, Stimuli};
 use pg_datasets::{polybench, HlsCache, KernelDataset};
-use pg_gnn::Ensemble;
+use pg_gnn::{predict_heads, Ensemble, ServeConfig};
 use pg_graphcon::GraphFlow;
 use pg_powersim::VivadoEstimator;
 use pg_util::median;
@@ -35,7 +35,7 @@ pub fn measure_runtimes(
     let stim = Stimuli::for_kernel(&kernel, 1);
     let est = VivadoEstimator::new();
     let gf = GraphFlow::new();
-    let engine = pg_model.engine();
+    let serve = ServeConfig::default();
 
     let mut pg_times = Vec::new();
     let mut viv_times = Vec::new();
@@ -52,7 +52,7 @@ pub fn measure_runtimes(
             .into_iter()
             .map(|v| v as f32)
             .collect();
-        let _pred = engine.predict(&[&graph]);
+        let _pred = predict_heads([pg_model], &[&graph], &serve);
         pg_times.push(t0.elapsed().as_secs_f64() * 1e3);
 
         let t1 = Instant::now();

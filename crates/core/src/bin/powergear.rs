@@ -6,31 +6,29 @@
 //! powergear graph   <kernel> [directives...]   # graph stats + feature dump
 //! powergear measure <kernel> [directives...]   # simulated board measurement
 //! powergear space   <kernel> [N]               # enumerate the design space
-//! powergear serve   <kernel> [N]               # batched-inference throughput demo
 //! powergear dataset <kernel>                   # build a labeled dataset at scale
 //!
 //! powergear train   <kernel> --save <m.pgm>    # train once, persist the model
 //! powergear predict <kernel> [directives...] --model <m.pgm>
-//! powergear serve   <kernel> [N] --model <m.pgm>   # zero training epochs
 //! powergear serve   --listen <addr> --registry <dir>   # persistent PGRPC daemon
 //! powergear stats   --addr <host:port> [--watch <secs>]   # live daemon metrics
 //! powergear verify  <m.pgm>                    # bit-exactness probe check
 //! powergear models  [--registry <dir>]         # list the model registry
 //! powergear models  --verify-all               # replay every artifact's probe
-//! powergear dse     <kernel> [N] --model <m.pgm>   # explore with a loaded model
+//! powergear dse     <kernel> --model <m.pgm>   # explore with a loaded model
 //! powergear eval    --loko [flags]             # leave-one-kernel-out table
 //!
 //! directive syntax:  pipeline=<loop>  unroll=<loop>:<k>  partition=<array>:<k>
 //! common flags:      --size <n>  (problem size, default 12)
-//! serve flags:       --threads <t>  (engine worker threads, default: cores)
 //! daemon flags:      --listen <addr>  --registry <dir>  --model <m.pgm>
+//!                    --threads <t>  (engine worker threads, default: cores)
 //!                    --max-batch <graphs> (default 32)  --poll-ms <ms> (default 200)
 //!                    --metrics-listen <addr> (Prometheus text endpoint)
 //!                    --trace-out <file.jsonl> (per-request span traces)
 //! train flags:       --samples <N> --epochs <e> --registry <dir> --name <name>
 //! dataset flags:     --samples <N> (default 500) --threads <t> --seed <s>
 //!                    --out <snapshot.pgstore>
-//! dse flags:         --budget <frac>  (sampling budget, default 0.2)
+//! dse flags:         --samples <N> (default 32)  --budget <frac>  (sampling budget, default 0.2)
 //! eval flags:        --loko (required)  --arch <hec|gcn|sage|graphconv|gine>
 //!                    --pool <add|mean|max>  --layers <n>  --heads <n>
 //!                    --hidden <n>  --kernels <a,b,c>  --samples <N>
@@ -44,12 +42,13 @@
 //! powergear report gemm pipeline=k unroll=k:4 partition=A:4 --size 12
 //! powergear dataset gemm --samples 500 --threads 4 --out gemm500.pgstore
 //! powergear train bicg --samples 24 --size 8 --save bicg.pgm
-//! powergear serve bicg 24 --model bicg.pgm
+//! powergear dse bicg --size 8 --model bicg.pgm
+//! powergear serve --listen 127.0.0.1:7070 --model bicg.pgm
 //! ```
 
 use pg_activity::{execute, Stimuli};
 use pg_datasets::{build_kernel_dataset_cached, polybench, DatasetConfig, HlsCache, PowerTarget};
-use pg_gnn::{Arch, InferenceEngine, ModelConfig, Pool, ServeConfig, TrainConfig};
+use pg_gnn::{predict_heads, Arch, ModelConfig, Pool, ServeConfig};
 use pg_graphcon::{GraphFlow, PowerGraph};
 use pg_hls::{Directives, HlsFlow};
 use pg_powersim::BoardOracle;
@@ -271,7 +270,7 @@ fn cmd_design(cmd: &str, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Second positional argument parsed as a count (e.g. `serve bicg 24`).
+/// Second positional argument parsed as a count (e.g. `space gemm 20`).
 fn second_positional(args: &[String]) -> Result<Option<usize>, String> {
     match positionals(args)?.get(1) {
         None => Ok(None),
@@ -606,14 +605,13 @@ fn cmd_dse(args: &[String]) -> Result<(), String> {
     let latency: Vec<f64> = ds.samples.iter().map(|s| s.latency as f64).collect();
     let truth: Vec<f64> = ds.samples.iter().map(|s| s.power.dynamic).collect();
     let graphs: Vec<&PowerGraph> = ds.samples.iter().map(|s| &s.graph).collect();
-    let engine = InferenceEngine::new(&model.dynamic_model);
     eprintln!(
         "[dse] exploring {} points of `{}` with `{path}` at {:.0}% budget",
         graphs.len(),
         kernel.name,
         dse_cfg.budget_frac * 100.0
     );
-    let predicted = engine.predict(&graphs);
+    let [predicted] = predict_heads([&model.dynamic_model], &graphs, &ServeConfig::default());
     let out = pg_dse::run_dse(&latency, &truth, &predicted, &dse_cfg);
     println!("{}", out.summary(graphs.len()));
     for p in &out.approx_frontier {
@@ -625,12 +623,8 @@ fn cmd_dse(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One parsed configuration for both `serve` modes: the one-shot
-/// throughput demo and the persistent `--listen` daemon share it, so the
-/// batching/threading flags mean the same thing in both.
+/// The parsed flags of `serve --listen`, the persistent daemon.
 struct ServeCliConfig {
-    size: usize,
-    count: usize,
     threads: usize,
     model: Option<String>,
     registry: Option<String>,
@@ -642,9 +636,8 @@ struct ServeCliConfig {
 }
 
 fn parse_serve_config(args: &[String]) -> Result<ServeCliConfig, String> {
+    positionals(args)?; // rejects unknown flags
     let cfg = ServeCliConfig {
-        size: flag_value(args, "--size")?.unwrap_or(12),
-        count: second_positional(args)?.unwrap_or(24),
         threads: flag_value(args, "--threads")?
             .unwrap_or_else(default_threads)
             .max(1),
@@ -662,25 +655,22 @@ fn parse_serve_config(args: &[String]) -> Result<ServeCliConfig, String> {
     Ok(cfg)
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let cfg = parse_serve_config(args)?;
-    if cfg.listen.is_some() {
-        return cmd_serve_daemon(&cfg);
-    }
-    cmd_serve_oneshot(args, &cfg)
-}
-
 /// `serve --listen <addr>`: the persistent PGRPC daemon (protocol spec in
 /// docs/PROTOCOL.md, operations runbook in docs/SERVING.md). Blocks until
 /// a Shutdown frame arrives.
-fn cmd_serve_daemon(cfg: &ServeCliConfig) -> Result<(), String> {
+fn cmd_serve(args: &[String]) -> Result<(), String> {
     use powergear::daemon::{Daemon, DaemonConfig};
+    let cfg = parse_serve_config(args)?;
+    let Some(listen) = cfg.listen.clone() else {
+        return Err("serve needs --listen <addr>; it runs the PGRPC daemon \
+             (for batched estimates over a design space, use `dse`)"
+            .into());
+    };
     if cfg.model.is_none() && cfg.registry.is_none() {
         return Err(
             "serve --listen needs a model source: --model <m.pgm> and/or --registry <dir>".into(),
         );
     }
-    let listen = cfg.listen.clone().unwrap_or_default();
     let mut dcfg = DaemonConfig::new(listen);
     dcfg.max_batch = cfg.max_batch;
     dcfg.poll_interval = std::time::Duration::from_millis(cfg.poll_ms.max(1));
@@ -822,104 +812,6 @@ fn print_stats_v2(addr: &str, v2: &pg_store::StatsV2Response) {
             );
         }
     }
-}
-
-/// `serve <kernel> [N]` without `--listen`: the original in-process
-/// throughput demo comparing the batched engine against the sequential
-/// path on one locally built dataset.
-fn cmd_serve_oneshot(args: &[String], scfg: &ServeCliConfig) -> Result<(), String> {
-    let kernel = load_kernel(args)?;
-    let n = scfg.count;
-    let threads = scfg.threads;
-    let model_path = &scfg.model;
-
-    let cache = HlsCache::new();
-    let cfg = DatasetConfig {
-        size: scfg.size,
-        max_samples: n.max(4),
-        seed: 1,
-        threads,
-    };
-    eprintln!(
-        "[serve] building {} design points of `{}`...",
-        cfg.max_samples, kernel.name
-    );
-    let t_build = Instant::now();
-    let ds = build_kernel_dataset_cached(&kernel, &cfg, &cache);
-    eprintln!(
-        "[serve]   {} samples in {:.2}s (HLS cache: {} designs, {} hits)",
-        ds.samples.len(),
-        t_build.elapsed().as_secs_f64(),
-        cache.len(),
-        cache.hits()
-    );
-
-    let ensemble = match model_path {
-        Some(_) => {
-            let (path, artifact) = load_artifact(args, Some(&kernel.name))?;
-            let model = PowerGear::from_artifact(&artifact).map_err(|e| e.to_string())?;
-            eprintln!(
-                "[serve] loaded pre-trained dynamic ensemble from `{path}` \
-                 ({} members, 0 training epochs at serve time)",
-                model.dynamic_model.models.len()
-            );
-            model.dynamic_model
-        }
-        None => {
-            let data = ds.labeled(PowerTarget::Dynamic);
-            let mut tc = TrainConfig::quick(ModelConfig::hec(16));
-            tc.epochs = 10;
-            tc.folds = 2;
-            tc.threads = threads;
-            eprintln!("[serve] training a quick dynamic-power ensemble (pass --model to skip)...");
-            pg_gnn::train_ensemble(&data, &tc)
-        }
-    };
-
-    let graphs: Vec<&PowerGraph> = ds.samples.iter().map(|s| &s.graph).collect();
-    // warm up allocators etc. before timing either path
-    let _ = ensemble.predict(&graphs);
-    let t_seq = Instant::now();
-    let seq = ensemble.predict(&graphs);
-    let seq_s = t_seq.elapsed().as_secs_f64();
-
-    let engine =
-        InferenceEngine::with_config(&ensemble, ServeConfig::new(8.min(graphs.len()), threads));
-    let (batched, stats) = engine.predict_with_stats(&graphs);
-    assert_eq!(
-        seq.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        batched.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "engine must be bit-identical to the sequential path"
-    );
-
-    println!(
-        "serving `{}`: {} graphs, {} ensemble members{}",
-        ds.kernel,
-        stats.graphs,
-        ensemble.models.len(),
-        if model_path.is_some() {
-            " (loaded from artifact, 0 training epochs)"
-        } else {
-            ""
-        }
-    );
-    println!(
-        "  sequential : {:>10.1} graphs/s ({:.2} ms total)",
-        stats.graphs as f64 / seq_s.max(1e-12),
-        seq_s * 1e3
-    );
-    println!(
-        "  engine     : {:>10.1} graphs/s ({:.2} ms total, {} batches x {} threads)",
-        stats.graphs_per_sec(),
-        stats.seconds * 1e3,
-        stats.batches,
-        stats.threads_used
-    );
-    println!(
-        "  speedup    : {:.2}x (bit-identical output)",
-        seq_s / stats.seconds.max(1e-12)
-    );
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------

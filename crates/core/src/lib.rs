@@ -246,7 +246,7 @@ impl PowerGear {
         graphs: &[&PowerGraph],
         serve: &ServeConfig,
     ) -> Vec<(f64, f64)> {
-        let ([total, dynamic], _) =
+        let [total, dynamic] =
             predict_heads([&self.total_model, &self.dynamic_model], graphs, serve);
         total.into_iter().zip(dynamic).collect()
     }

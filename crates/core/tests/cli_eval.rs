@@ -172,6 +172,19 @@ fn removed_batch_deadline_flag_fails_loudly() {
 }
 
 #[test]
+fn serve_without_listen_names_the_flag() {
+    let out = powergear()
+        .args(["serve", "bicg", "12"])
+        .output()
+        .expect("run powergear");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(errors[0].contains("--listen"), "{stderr}");
+}
+
+#[test]
 fn eval_rejects_positional_arguments() {
     let out = powergear()
         .args(["eval", "atax", "--loko"])

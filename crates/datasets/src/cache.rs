@@ -15,23 +15,14 @@
 //! misses never serialize on each other; if two workers race on the same
 //! key the first insertion wins and both observe the identical design
 //! (synthesis is deterministic).
-//!
-//! The cache also survives process exits: [`HlsCache::save_to`] spills
-//! every design to a `pg_store` container and [`HlsCache::load_from`]
-//! warm-starts a fresh process from it, so the measured ~15x warm-replay
-//! win carries across runs instead of evaporating with the process.
 
 use pg_hls::{Directives, HlsDesign, HlsError, HlsFlow, KernelAnalysis, PreparedKernel};
 use pg_ir::{ArrayKind, Block, Kernel};
-use pg_store::{dec_design, enc_design, Dec, Enc, Reader, StoreError, Writer};
 use pg_util::metrics;
 use pg_util::rng::hash64;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Section name the cache spill is stored under.
-const CACHE_SECTION: &str = "hls_cache";
 
 /// A stable content fingerprint of a kernel (name, arrays, loop nest),
 /// distinguishing e.g. the same Polybench kernel at different sizes.
@@ -242,67 +233,6 @@ impl HlsCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Spills every cached design to a `pg_store` container at `path`, so
-    /// a later process can warm-start with [`HlsCache::load_from`] instead
-    /// of re-synthesizing the space. The map is ordered, so entries land in
-    /// sorted key order and the file is deterministic for a given cache
-    /// content. Returns the number of designs written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StoreError`] from the filesystem.
-    pub fn save_to(&self, path: impl AsRef<std::path::Path>) -> Result<usize, StoreError> {
-        let map = self.map.lock().expect("cache lock");
-        let mut e = Enc::new();
-        e.u32(map.len() as u32);
-        for ((fingerprint, directive_id), design) in map.iter() {
-            e.u64(*fingerprint);
-            e.str(directive_id);
-            enc_design(&mut e, design);
-        }
-        let count = map.len();
-        drop(map);
-        let mut w = Writer::new();
-        w.section(CACHE_SECTION, e.into_bytes());
-        w.write_to(path)?;
-        Ok(count)
-    }
-
-    /// Loads a cache spilled by [`HlsCache::save_to`]. The returned cache
-    /// starts with zero hit/miss counters; every restored design is served
-    /// as a hit on its first request.
-    ///
-    /// # Errors
-    ///
-    /// Any [`StoreError`]: I/O, bad magic, version or CRC mismatch, or a
-    /// corrupt design payload. A failed load never panics.
-    pub fn load_from(path: impl AsRef<std::path::Path>) -> Result<HlsCache, StoreError> {
-        let r = Reader::open(path)?;
-        let mut d = Dec::new(r.section(CACHE_SECTION)?);
-        let n = d.count(8, "cache entry count")?;
-        let mut map = BTreeMap::new();
-        for _ in 0..n {
-            let fingerprint = d.u64("cache entry fingerprint")?;
-            let directive_id = d.str("cache entry directive id")?;
-            let design = dec_design(&mut d)?;
-            if design.directives.id() != directive_id {
-                return Err(StoreError::corrupt(format!(
-                    "cache entry keyed `{directive_id}` holds design `{}`",
-                    design.directives.id()
-                )));
-            }
-            map.insert((fingerprint, directive_id), Arc::new(design));
-        }
-        d.finish("cache section")?;
-        Ok(HlsCache {
-            flow: HlsFlow::new(),
-            map: Mutex::new(map),
-            analyses: Mutex::new(BTreeMap::new()),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        })
-    }
 }
 
 /// A per-kernel view of an [`HlsCache`]: the kernel fingerprint and shared
@@ -469,46 +399,6 @@ mod tests {
         // a miss was counted, but nothing poisoned the map
         assert_eq!(cache.misses(), 1);
         assert!(cache.run(&kernel, &Directives::new()).is_ok());
-    }
-
-    #[test]
-    fn spill_and_restore_roundtrip() {
-        let cache = HlsCache::new();
-        let kernel = polybench::mvt(6);
-        let mut piped = Directives::new();
-        piped.pipeline("j");
-        let a = cache.run(&kernel, &Directives::new()).unwrap();
-        let b = cache.run(&kernel, &piped).unwrap();
-        let path = std::env::temp_dir().join(format!("pg_cache_{}.pgstore", std::process::id()));
-        assert_eq!(cache.save_to(&path).unwrap(), 2);
-
-        let warm = HlsCache::load_from(&path).unwrap();
-        assert_eq!(warm.len(), 2);
-        assert_eq!(warm.misses(), 0);
-        // restored designs are served without synthesis and are identical
-        let ra = warm.run(&kernel, &Directives::new()).unwrap();
-        let rb = warm.run(&kernel, &piped).unwrap();
-        assert_eq!(*ra, *a);
-        assert_eq!(*rb, *b);
-        assert_eq!(warm.hits(), 2, "restored entries must hit");
-        assert_eq!(warm.misses(), 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn restore_rejects_corruption() {
-        let cache = HlsCache::new();
-        let kernel = polybench::mvt(6);
-        cache.run(&kernel, &Directives::new()).unwrap();
-        let path =
-            std::env::temp_dir().join(format!("pg_cache_bad_{}.pgstore", std::process::id()));
-        cache.save_to(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n - 3] ^= 0x40;
-        std::fs::write(&path, bytes).unwrap();
-        assert!(HlsCache::load_from(&path).is_err(), "corruption must fail");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

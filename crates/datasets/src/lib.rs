@@ -10,8 +10,7 @@
 //! * [`build`] — kernel + directives → HLS → trace → [`pg_graphcon::PowerGraph`]
 //!   (metadata attached) → oracle power labels;
 //! * [`cache`] — a thread-safe memoizing [`HlsCache`] so identical
-//!   kernel+directive pairs are synthesized once per process, with
-//!   `save_to`/`load_from` spill so warm replays survive process exits;
+//!   kernel+directive pairs are synthesized once per process;
 //! * [`snapshot`] — persist/restore fully-labeled datasets (`pg_store`
 //!   containers), skipping synthesis, tracing and the oracle entirely;
 //! * [`splits`] — the leave-one-kernel-out evaluation protocol.

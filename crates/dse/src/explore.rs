@@ -189,7 +189,7 @@ pub fn run_dse(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_gnn::{Ensemble, InferenceEngine, ModelConfig, PowerModel, ServeConfig};
+    use pg_gnn::{predict_heads, Ensemble, ModelConfig, PowerModel, ServeConfig};
     use pg_graphcon::{PowerGraph, Relation};
 
     /// A synthetic space with a clean latency/power tradeoff plus noise.
@@ -317,8 +317,8 @@ mod tests {
         // batched engine pass over the same graphs
         let predicted = ensemble.predict(&refs);
         let expect = run_dse(&lat, &pow, &predicted, &cfg);
-        let engine = InferenceEngine::with_config(&ensemble, ServeConfig::new(7, 2));
-        let got = run_dse(&lat, &pow, &engine.predict(&refs), &cfg);
+        let [batched] = predict_heads([&ensemble], &refs, &ServeConfig::new(7, 2));
+        let got = run_dse(&lat, &pow, &batched, &cfg);
         assert_eq!(expect, got);
     }
 }

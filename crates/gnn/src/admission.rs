@@ -15,7 +15,7 @@
 //! arrival order, so a multi-graph request stays one atomic unit (the
 //! hot-swap "no mixed-model response" guarantee builds on this). Batch
 //! *composition* depends on arrival timing, but downstream arithmetic does
-//! not: the [`crate::InferenceEngine`] is bit-identical for any batch
+//! not: [`crate::predict_heads`] is bit-identical for any batch
 //! shape, which is what makes coalescing safe under the workspace's
 //! determinism invariant (`docs/ARCHITECTURE.md` shows where this sits in
 //! the daemon's request lifecycle).

@@ -12,7 +12,7 @@
 //!   prediction-averaging ensemble;
 //! * baselines GCN, GraphSAGE, GraphConv and GINE on the same outer
 //!   architecture (Table I), and the ablation variants of Table II;
-//! * a batched, multi-core serving layer ([`InferenceEngine`]) whose output
+//! * a batched, multi-core serving layer ([`predict_heads`]) whose output
 //!   is bit-identical to the sequential prediction path.
 //!
 //! # Examples
@@ -40,7 +40,7 @@ pub use ablation::{table2_variants, zoo_variants, Variant};
 pub use admission::AdmissionQueue;
 pub use batch::{GraphBatch, RelEdges};
 pub use model::{Arch, ModelConfig, Pool, PowerModel};
-pub use serve::{predict_heads, InferenceEngine, ServeConfig, ServeStats};
+pub use serve::{predict_heads, ServeConfig};
 pub use train::{
     evaluate_model, train_ensemble, train_ensemble_with, train_single, Ensemble, LabelNorm,
     MemberTrained, TrainConfig,

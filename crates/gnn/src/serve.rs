@@ -3,7 +3,7 @@
 //! PowerGear's DSE loop (§IV-C) calls the power model once per candidate
 //! design point; [`Ensemble::predict`] assembles one batch and walks every
 //! member sequentially. [`predict_heads`] is the throughput layer on top,
-//! and the one scheduler every batched caller shares: [`InferenceEngine`]
+//! and the one scheduler every batched caller shares: the DSE command
 //! passes it one ensemble, `PowerGear` passes its total and dynamic power
 //! heads together.
 //!
@@ -34,11 +34,10 @@
 //! # Examples
 //!
 //! ```no_run
-//! use pg_gnn::{InferenceEngine, ServeConfig};
+//! use pg_gnn::{predict_heads, ServeConfig};
 //! # let ensemble = pg_gnn::Ensemble::default();
 //! # let graphs: Vec<&pg_graphcon::PowerGraph> = vec![];
-//! let engine = InferenceEngine::with_config(&ensemble, ServeConfig::new(16, 4));
-//! let watts = engine.predict(&graphs);
+//! let [watts] = predict_heads([&ensemble], &graphs, &ServeConfig::new(16, 4));
 //! ```
 
 use crate::batch::GraphBatch;
@@ -51,7 +50,7 @@ use std::sync::OnceLock;
 // pg-lint: allow(wall_clock, reason = "import only; the single use site is the telemetry timer annotated below")
 use std::time::Instant;
 
-/// Batching/parallelism knobs for [`InferenceEngine`].
+/// Batching/parallelism knobs for [`predict_heads`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Graphs grouped into one [`GraphBatch`] (tensor-op granularity).
@@ -94,77 +93,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Counters from one [`predict_heads`] call.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeStats {
-    /// Graphs served.
-    pub graphs: usize,
-    /// Batches formed.
-    pub batches: usize,
-    /// Worker threads that ran, the calling thread included (capped by
-    /// the number of (chunk, member) forwards).
-    pub threads_used: usize,
-    /// Wall-clock seconds spent serving.
-    pub seconds: f64,
-}
-
-impl ServeStats {
-    /// Serving throughput in graphs per second.
-    pub fn graphs_per_sec(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.graphs as f64 / self.seconds
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// A batched, multi-core serving frontend over a trained [`Ensemble`].
-#[derive(Debug, Clone)]
-pub struct InferenceEngine<'a> {
-    ensemble: &'a Ensemble,
-    /// Batching/parallelism configuration.
-    pub config: ServeConfig,
-}
-
-impl<'a> InferenceEngine<'a> {
-    /// Wraps `ensemble` with the default configuration (batch 32, one
-    /// thread per available core).
-    pub fn new(ensemble: &'a Ensemble) -> Self {
-        InferenceEngine {
-            ensemble,
-            config: ServeConfig::default(),
-        }
-    }
-
-    /// Wraps `ensemble` with an explicit configuration.
-    pub fn with_config(ensemble: &'a Ensemble, config: ServeConfig) -> Self {
-        InferenceEngine { ensemble, config }
-    }
-
-    /// The served ensemble.
-    pub fn ensemble(&self) -> &Ensemble {
-        self.ensemble
-    }
-
-    /// Mean ensemble prediction for every graph, in input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ensemble is empty (matching [`Ensemble::predict`]).
-    pub fn predict(&self, graphs: &[&PowerGraph]) -> Vec<f64> {
-        self.predict_with_stats(graphs).0
-    }
-
-    /// [`InferenceEngine::predict`] plus serving counters.
-    pub fn predict_with_stats(&self, graphs: &[&PowerGraph]) -> (Vec<f64>, ServeStats) {
-        let ([watts], stats) = predict_heads([self.ensemble], graphs, &self.config);
-        (watts, stats)
-    }
-}
-
 /// Mean prediction of every head in `heads` for every graph, in input
-/// order, with serving counters. `graphs` is cut into chunks of
+/// order. `graphs` is cut into chunks of
 /// `config.batch_size`, and each (chunk, member) forward is one task for
 /// up to `config.threads` workers, the calling thread among them (see the
 /// module docs). Each head's output is bit-identical to
@@ -178,12 +108,12 @@ pub fn predict_heads<const H: usize>(
     heads: [&Ensemble; H],
     graphs: &[&PowerGraph],
     config: &ServeConfig,
-) -> ([Vec<f64>; H], ServeStats) {
+) -> [Vec<f64>; H] {
     assert!(
         graphs.is_empty() || heads.iter().all(|h| !h.models.is_empty()),
         "empty ensemble"
     );
-    // pg-lint: allow(wall_clock, reason = "serving telemetry (ServeStats.seconds); never feeds model math or artifacts")
+    // pg-lint: allow(wall_clock, reason = "serving telemetry (engine_batch_time_us); never feeds model math or artifacts")
     let t0 = Instant::now();
     let chunks: Vec<&[&PowerGraph]> = graphs.chunks(config.batch_size.max(1)).collect();
     // Every member of every head, head by head, in member order.
@@ -231,29 +161,16 @@ pub fn predict_heads<const H: usize>(
         out
     });
 
-    let stats = ServeStats {
-        graphs: graphs.len(),
-        batches: chunks.len(),
-        threads_used: workers,
-        seconds: t0.elapsed().as_secs_f64(),
-    };
-    if stats.graphs > 0 {
-        pg_util::metrics::counter("engine_batches_total").add(stats.batches as u64);
-        pg_util::metrics::counter("engine_graphs_total").add(stats.graphs as u64);
+    if !graphs.is_empty() {
+        pg_util::metrics::counter("engine_batches_total").add(chunks.len() as u64);
+        pg_util::metrics::counter("engine_graphs_total").add(graphs.len() as u64);
         pg_util::metrics::histogram(
             "engine_batch_time_us",
             pg_util::metrics::buckets::LATENCY_US,
         )
-        .observe((stats.seconds * 1e6) as u64);
+        .observe(t0.elapsed().as_micros() as u64);
     }
-    (preds, stats)
-}
-
-impl Ensemble {
-    /// A serving engine over this ensemble with the default configuration.
-    pub fn engine(&self) -> InferenceEngine<'_> {
-        InferenceEngine::new(self)
-    }
+    preds
 }
 
 #[cfg(test)]
@@ -316,8 +233,7 @@ mod tests {
         // (13, 2), (13, 4) and (64, 3) are single-chunk inputs, whose
         // member forwards alone are spread over the workers.
         for (bs, threads) in [(1, 1), (3, 1), (4, 2), (13, 2), (13, 4), (2, 4), (64, 3)] {
-            let engine = InferenceEngine::with_config(&ens, ServeConfig::new(bs, threads));
-            let got = engine.predict(&refs);
+            let [got] = predict_heads([&ens], &refs, &ServeConfig::new(bs, threads));
             let a: Vec<u64> = seq.iter().map(|v| v.to_bits()).collect();
             let b: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "diverged at batch_size={bs} threads={threads}");
@@ -329,8 +245,7 @@ mod tests {
         let graphs: Vec<PowerGraph> = (0..9).map(graph).collect();
         let refs: Vec<&PowerGraph> = graphs.iter().collect();
         let ens = ensemble(1);
-        let engine = InferenceEngine::with_config(&ens, ServeConfig::new(2, 3));
-        let batched = engine.predict(&refs);
+        let [batched] = predict_heads([&ens], &refs, &ServeConfig::new(2, 3));
         for (i, r) in refs.iter().enumerate() {
             let single = ens.predict(&[*r]);
             assert_eq!(single[0].to_bits(), batched[i].to_bits(), "graph {i}");
@@ -340,32 +255,33 @@ mod tests {
     #[test]
     fn empty_input_serves_nothing() {
         let ens = ensemble(1);
-        let (preds, stats) = ens.engine().predict_with_stats(&[]);
-        assert!(preds.is_empty());
-        assert_eq!(stats.graphs, 0);
-        assert_eq!(stats.batches, 0);
+        let [a, b] = predict_heads([&ens, &ens], &[], &ServeConfig::default());
+        assert!(a.is_empty());
+        assert!(b.is_empty());
     }
 
     #[test]
-    fn stats_count_batches_and_threads() {
+    fn metrics_count_batches_and_graphs() {
         let graphs: Vec<PowerGraph> = (0..10).map(graph).collect();
         let refs: Vec<&PowerGraph> = graphs.iter().collect();
         let ens = ensemble(2);
-        let engine = InferenceEngine::with_config(&ens, ServeConfig::new(3, 16));
-        let (preds, stats) = engine.predict_with_stats(&refs);
+        let batches = pg_util::metrics::counter("engine_batches_total");
+        let served = pg_util::metrics::counter("engine_graphs_total");
+        let (b0, g0) = (batches.value(), served.value());
+        let [preds] = predict_heads([&ens], &refs, &ServeConfig::new(3, 16));
         assert_eq!(preds.len(), 10);
-        assert_eq!(stats.graphs, 10);
-        assert_eq!(stats.batches, 4); // ceil(10 / 3)
-        assert_eq!(stats.threads_used, 8); // capped by 4 chunks × 2 members
-        assert!(stats.seconds >= 0.0);
-        assert!(stats.graphs_per_sec() > 0.0);
+        // The registry is process-global and other tests serve
+        // concurrently, so each counter rose by at least this call's
+        // share: ceil(10 / 3) batches and 10 graphs.
+        assert!(batches.value() - b0 >= 4, "engine_batches_total");
+        assert!(served.value() - g0 >= 10, "engine_graphs_total");
     }
 
     #[test]
     #[should_panic(expected = "empty ensemble")]
     fn empty_ensemble_panics() {
         let g = graph(1);
-        Ensemble::default().engine().predict(&[&g]);
+        predict_heads([&Ensemble::default()], &[&g], &ServeConfig::default());
     }
 
     #[test]

@@ -231,11 +231,6 @@ impl Reader {
         Reader::from_bytes(fs::read(path)?)
     }
 
-    /// Section names in file order.
-    pub fn section_names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name.as_str()).collect()
-    }
-
     /// `true` when the container holds a section called `name`.
     pub fn has_section(&self, name: &str) -> bool {
         self.entries.iter().any(|e| e.name == name)
@@ -347,7 +342,8 @@ mod tests {
         w.section("gamma", (0..255).collect());
         let r = Reader::from_bytes(w.to_bytes()).unwrap();
         assert_eq!(r.version, FORMAT_VERSION);
-        assert_eq!(r.section_names(), vec!["alpha", "beta", "gamma"]);
+        let names: Vec<&str> = r.entries.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, vec!["alpha", "beta", "gamma"]);
         assert_eq!(r.section("alpha").unwrap(), &[1, 2, 3]);
         assert_eq!(r.section("beta").unwrap(), &[] as &[u8]);
         assert_eq!(r.section("gamma").unwrap().len(), 255);
@@ -363,7 +359,7 @@ mod tests {
         w.section("s", vec![1]);
         w.section("s", vec![2, 3]);
         let r = Reader::from_bytes(w.to_bytes()).unwrap();
-        assert_eq!(r.section_names().len(), 1);
+        assert_eq!(r.entries.len(), 1);
         assert_eq!(r.section("s").unwrap(), &[2, 3]);
     }
 

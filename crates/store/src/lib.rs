@@ -11,9 +11,6 @@
 //! * [`codec`] — little-endian codecs for matrices, model configs, trained
 //!   [`pg_gnn::PowerModel`]s/[`pg_gnn::Ensemble`]s, power graphs, HLS
 //!   reports and directives;
-//! * [`design`] — a full [`pg_hls::HlsDesign`] codec (IR, schedule,
-//!   binding, FSMD, report, arrays, FU library) backing `HlsCache`
-//!   spill/restore in `pg_datasets`;
 //! * [`artifact`] — the `.pgm` model artifact: named ensembles + metadata
 //!   + an embedded bit-exactness probe;
 //! * [`registry`] — a directory of self-describing artifacts;
@@ -75,7 +72,6 @@
 pub mod artifact;
 pub mod codec;
 pub mod container;
-pub mod design;
 pub mod error;
 pub mod frame;
 pub mod registry;
@@ -83,7 +79,6 @@ pub mod registry;
 pub use artifact::{load_meta, train_fingerprint, ArtifactMeta, ModelArtifact, ProbeSet};
 pub use codec::{Dec, Enc};
 pub use container::{crc32, Reader, Writer, FORMAT_VERSION, MAGIC};
-pub use design::{dec_design, enc_design};
 pub use error::StoreError;
 pub use frame::{
     decode_frame, encode_frame, read_frame, write_frame, ErrorFrame, FrameType, ModelInfo,

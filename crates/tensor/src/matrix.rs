@@ -95,12 +95,6 @@ impl Matrix {
         self.data[r * self.cols + c]
     }
 
-    /// Mutable element at `(r, c)`.
-    #[inline]
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
-        &mut self.data[r * self.cols + c]
-    }
-
     /// Row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {

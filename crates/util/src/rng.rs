@@ -48,15 +48,6 @@ impl Rng64 {
         }
     }
 
-    /// Derives an independent child generator; useful for splitting one
-    /// experiment seed into per-component streams.
-    pub fn fork(&mut self, stream: u64) -> Self {
-        let s = self
-            .next_u64()
-            .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        Rng64::new(s)
-    }
-
     /// Returns the next 64 pseudo-random bits.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
@@ -136,15 +127,6 @@ impl Rng64 {
         for i in (1..slice.len()).rev() {
             let j = self.below(i + 1);
             slice.swap(i, j);
-        }
-    }
-
-    /// Chooses a uniformly random element, or `None` for an empty slice.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.below(slice.len())])
         }
     }
 
@@ -308,14 +290,6 @@ mod tests {
         let mut a = Rng64::new(mix64(&[7, 0, 4, 2]));
         let mut b = Rng64::new(mix64(&[7, 0, 4, 2]));
         assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn fork_streams_independent() {
-        let mut root = Rng64::new(11);
-        let mut c1 = root.fork(0);
-        let mut c2 = root.fork(1);
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

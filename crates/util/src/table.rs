@@ -56,24 +56,6 @@ impl Table {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Renders as a GitHub-flavoured markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!(
-            "|{}|\n",
-            self.header
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -122,14 +104,6 @@ mod tests {
         assert!(s.contains("xx  1"));
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn markdown_has_separator() {
-        let mut t = Table::new(&["A", "B"]);
-        t.row(vec!["1".into(), "2".into()]);
-        let md = t.to_markdown();
-        assert!(md.contains("|---|---|"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property test for the serving layer: [`InferenceEngine`] output must be
+//! Property test for the serving layer: [`predict_heads`] output must be
 //! **bit-identical** to the sequential prediction path for arbitrary batch
 //! sizes and thread counts (including 1), both against one full-slice
 //! `Ensemble::predict` call and against per-graph calls — and so must
@@ -7,9 +7,7 @@
 
 use proptest::prelude::*;
 
-use powergear_repro::gnn::{
-    predict_heads, Ensemble, InferenceEngine, ModelConfig, PowerModel, ServeConfig,
-};
+use powergear_repro::gnn::{predict_heads, Ensemble, ModelConfig, PowerModel, ServeConfig};
 use powergear_repro::graphcon::{PowerGraph, Relation};
 use powergear_repro::powergear::PowerGear;
 use powergear_repro::util::Rng64;
@@ -86,9 +84,8 @@ proptest! {
         let sequential = ensemble.predict(&refs);
         prop_assert_eq!(sequential.len(), n_graphs);
 
-        let engine =
-            InferenceEngine::with_config(&ensemble, ServeConfig::new(batch_size, threads));
-        let batched = engine.predict(&refs);
+        let [batched] =
+            predict_heads([&ensemble], &refs, &ServeConfig::new(batch_size, threads));
         prop_assert_eq!(
             bits(&sequential),
             bits(&batched),
@@ -106,7 +103,7 @@ proptest! {
         // left to spread over the workers.
         for single_chunk_threads in [2, 4] {
             let config = ServeConfig::new(n_graphs, single_chunk_threads);
-            let one_chunk = InferenceEngine::with_config(&ensemble, config).predict(&refs);
+            let [one_chunk] = predict_heads([&ensemble], &refs, &config);
             prop_assert_eq!(
                 bits(&sequential),
                 bits(&one_chunk),
@@ -126,8 +123,8 @@ proptest! {
             (0..n_graphs).map(|i| synth_graph(seed * 31 + i as u64)).collect();
         let refs: Vec<&PowerGraph> = graphs.iter().collect();
         let ensemble = synth_ensemble(2, seed);
-        let a = InferenceEngine::with_config(&ensemble, ServeConfig::new(1, 4)).predict(&refs);
-        let b = InferenceEngine::with_config(&ensemble, ServeConfig::new(64, 1)).predict(&refs);
+        let [a] = predict_heads([&ensemble], &refs, &ServeConfig::new(1, 4));
+        let [b] = predict_heads([&ensemble], &refs, &ServeConfig::new(64, 1));
         prop_assert_eq!(bits(&a), bits(&b));
     }
 }
@@ -173,7 +170,7 @@ fn concurrent_predict_heads_match_predict() {
                 start.wait();
                 for batch_size in [1, 5, 24] {
                     let config = ServeConfig::new(batch_size, 2 + c % 3);
-                    let ([got], _) = predict_heads([ensemble], refs, &config);
+                    let [got] = predict_heads([ensemble], refs, &config);
                     assert_eq!(bits(&got), expected, "caller {c} bs={batch_size}");
                 }
             });

@@ -1,4 +1,4 @@
-//! Flat arenas of run-length/delta compressed event streams.
+//! Flat arenas of run-length compressed event streams.
 //!
 //! The trace interpreter used to allocate one `Vec<(u64, u32)>` per traced
 //! stream per design point — at paper scale (500–1000 points/kernel) those
@@ -10,40 +10,47 @@
 //!
 //! # Stream format
 //!
-//! A stream is a sequence of *runs* in three shapes, tagged by the top two
-//! header bits (bits 0..=29 hold the event count, always >= 1):
+//! A stream is a sequence of *runs* in two shapes, tagged by the top
+//! header bit (bits 0..=29 hold the event count, always >= 1; bit 30 is
+//! unused):
 //!
 //! ```text
 //! const   (bit 31)  [header, start_lo, start_hi, stride, value]
 //!                   `count` events at `start + i*stride`, one repeated
 //!                   value — run-length + delta compression in 5 words
-//! affine  (neither) [header, start_lo, start_hi, stride, v0..v_count-1]
+//! affine  (clear)   [header, start_lo, start_hi, stride, v0..v_count-1]
 //!                   arithmetic cycle progression, verbatim values
-//! delta   (bit 30)  [header, start_lo, start_hi, v0, (d1,v1), (d2,v2)..]
-//!                   explicit per-event cycle deltas — the shape stream
-//!                   merges emit, because a time-interleave of two affine
-//!                   streams has no single stride
 //! ```
 //!
 //! Per-block interpreter streams fire once per loop iteration, so their
 //! cycle side is exactly one arithmetic progression and constant value
 //! stretches (outer induction variables, re-read addresses) collapse to
-//! const runs. An empty stream is `len == 0`; worst case the encoding
-//! costs 2 words/event (delta runs) versus 3 uncompressed.
+//! const runs. An empty stream is `len == 0`; verbatim values cost one
+//! word per event versus 3 uncompressed (a cycle sequence with no stride
+//! at all, which only tests and synthetic graphs push, costs a 5-word run
+//! per event).
 //!
-//! Everything downstream folds **directly over the compressed runs**
-//! ([`fold_sa_ar`]): a constant run of any length contributes at most one
-//! value transition, so SA/AR of heavily repetitive streams costs O(runs)
-//! instead of O(events). Folds accumulate the same integer Hamming /
-//! change counts in the same order as the naive slice math in
-//! [`crate::sa`], so results are bit-identical.
+//! # Folds
+//!
+//! Everything downstream folds **directly over the compressed runs**: a
+//! constant run of any length contributes at most one value transition,
+//! so SA/AR of heavily repetitive streams costs O(runs) instead of
+//! O(events). Folds accumulate the same integer Hamming / change counts
+//! in the same order as the naive slice math in [`crate::sa`], so results
+//! are bit-identical.
+//!
+//! Time-merged streams (the fused parallel edges of datapath merging) are
+//! never materialized: [`merge_fold`] folds the stable time-interleave of
+//! any number of streams straight into that accumulator, and
+//! [`fold_sa_ar`] is its one-input case. Streams of different blocks
+//! occupy disjoint cycle windows and fold run by run, aligned lanes of one
+//! block fold by a periodic table walk, and anything else by a cursor
+//! merge.
 
 /// Bit 31 of a run header: the payload is one repeated value.
 const CONST_BIT: u32 = 1 << 31;
-/// Bit 30 of a run header: explicit per-event cycle deltas.
-const DELTA_BIT: u32 = 1 << 30;
 /// Mask of the event count in a run header.
-const COUNT_MASK: u32 = DELTA_BIT - 1;
+const COUNT_MASK: u32 = (1 << 30) - 1;
 /// A constant stretch shorter than this is not worth its own run.
 const MIN_CONST_RUN: u32 = 4;
 
@@ -55,9 +62,9 @@ pub struct EventArena {
 
 /// A `(offset, len)` slice of an [`EventArena`], in words. Copyable —
 /// attaching a stream to another edge is two register moves, not an
-/// allocation. Bit 31 of `off` is reserved for the owner to tag which of
-/// two arenas the slice lives in (see `pg_graphcon`'s base/extension
-/// split); the arena itself never sets it.
+/// allocation. Bit 31 of `off` is reserved for the owner to tag what the
+/// ref points into (`pg_graphcon` tags extension-arena streams and merge
+/// lists); the arena itself never sets it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventRef {
     /// Word offset of the stream start.
@@ -97,11 +104,6 @@ impl EventArena {
         &self.words
     }
 
-    /// Mutable raw words (encoder entry point).
-    pub fn words_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.words
-    }
-
     /// Words of one stream.
     ///
     /// # Panics
@@ -136,16 +138,13 @@ impl EventArena {
     }
 }
 
-/// Size in words of the run starting at `words[i]`.
+/// Size in words of the run whose header is `h`.
 #[inline]
 fn run_words(h: u32) -> usize {
-    let count = (h & COUNT_MASK) as usize;
     if h & CONST_BIT != 0 {
         5
-    } else if h & DELTA_BIT != 0 {
-        4 + 2 * (count - 1)
     } else {
-        4 + count
+        4 + (h & COUNT_MASK) as usize
     }
 }
 
@@ -175,100 +174,27 @@ pub fn decode_into(out: &mut Vec<(u64, u32)>, words: &[u32]) {
         let h = words[i];
         let count = (h & COUNT_MASK) as u64;
         let start = words[i + 1] as u64 | ((words[i + 2] as u64) << 32);
+        let stride = words[i + 3] as u64;
         if h & CONST_BIT != 0 {
-            let stride = words[i + 3] as u64;
             let v = words[i + 4];
             for k in 0..count {
                 out.push((start + k * stride, v));
             }
-            i += 5;
-        } else if h & DELTA_BIT != 0 {
-            let mut cycle = start;
-            out.push((cycle, words[i + 3]));
-            let mut j = i + 4;
-            for _ in 1..count {
-                cycle += words[j] as u64;
-                out.push((cycle, words[j + 1]));
-                j += 2;
-            }
-            i = j;
         } else {
-            let stride = words[i + 3] as u64;
             for k in 0..count {
                 out.push((start + k * stride, words[i + 4 + k as usize]));
             }
-            i += 4 + count as usize;
         }
+        i += run_words(h);
     }
 }
 
 /// [`switching_activity`](crate::switching_activity) and
 /// [`activation_rate`](crate::activation_rate) of one compressed stream in
-/// a single pass over its runs, without materializing events. Accumulates
-/// the identical integer Hamming/change totals as the slice math, so the
-/// result is bit-identical.
+/// a single pass over its runs, without materializing events: the
+/// one-input case of [`merge_fold`], so bit-identical to the slice math.
 pub fn fold_sa_ar(words: &[u32], latency: u64) -> (f64, f64) {
-    let mut hamming = 0u64;
-    let mut changes = 0u64;
-    let mut n = 0u64;
-    let mut prev = 0u32;
-    let mut have_prev = false;
-    let mut i = 0usize;
-    while i < words.len() {
-        let h = words[i];
-        let count = (h & COUNT_MASK) as u64;
-        if h & CONST_BIT != 0 {
-            // A constant run transitions at most once, at its boundary.
-            let v = words[i + 4];
-            if have_prev {
-                let d = (prev ^ v).count_ones() as u64;
-                hamming += d;
-                changes += (d != 0) as u64;
-            }
-            prev = v;
-            have_prev = true;
-            i += 5;
-        } else if h & DELTA_BIT != 0 {
-            let v0 = words[i + 3];
-            if have_prev {
-                let d = (prev ^ v0).count_ones() as u64;
-                hamming += d;
-                changes += (d != 0) as u64;
-            }
-            prev = v0;
-            have_prev = true;
-            let mut j = i + 4;
-            for _ in 1..count {
-                let v = words[j + 1];
-                let d = (prev ^ v).count_ones() as u64;
-                hamming += d;
-                changes += (d != 0) as u64;
-                prev = v;
-                j += 2;
-            }
-            i = j;
-        } else {
-            for k in 0..count as usize {
-                let v = words[i + 4 + k];
-                if have_prev {
-                    let d = (prev ^ v).count_ones() as u64;
-                    hamming += d;
-                    changes += (d != 0) as u64;
-                }
-                prev = v;
-                have_prev = true;
-            }
-            i += 4 + count as usize;
-        }
-        n += count;
-    }
-    if latency == 0 || n < 2 {
-        return (0.0, 0.0);
-    }
-    (
-        hamming as f64 / latency as f64,
-        changes as f64 / latency as f64,
-    )
+    merge_fold(&[words]).sa_ar(latency)
 }
 
 /// Encodes one stream whose cycles are a known arithmetic progression
@@ -340,8 +266,8 @@ pub fn copy_shifted(out: &mut Vec<u32>, src: EventRef, delta: u64) -> EventRef {
     }
 }
 
-/// Streaming encoder for arbitrary `(cycle, bits)` sequences (stream
-/// merges, tests). Detects arithmetic cycle progressions and constant
+/// Streaming encoder for arbitrary `(cycle, bits)` sequences (tests,
+/// synthetic graphs). Detects arithmetic cycle progressions and constant
 /// value stretches on the fly; any push order round-trips exactly, runs
 /// just get shorter when cycles are non-decreasing.
 pub struct Encoder<'a> {
@@ -474,9 +400,68 @@ impl<'a> Encoder<'a> {
     }
 }
 
+/// The integer totals of an Eq. 2 / Eq. 3 fold: the Hamming distance and
+/// the value changes between consecutive events, and the event count.
+/// Every fold in this module feeds values through this one accumulator in
+/// event order, so folding compressed runs, folding a time-merge of many
+/// streams and the naive slice math all reach the same totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fold {
+    hamming: u64,
+    changes: u64,
+    events: u64,
+    prev: u32,
+    have_prev: bool,
+}
+
+impl Fold {
+    /// Feeds the next value in event order (the caller counts events).
+    #[inline]
+    fn value(&mut self, v: u32) {
+        if self.have_prev {
+            let d = (self.prev ^ v).count_ones() as u64;
+            self.hamming += d;
+            self.changes += (d != 0) as u64;
+        }
+        self.prev = v;
+        self.have_prev = true;
+    }
+
+    /// Feeds every event of one stream, run by run: a constant run
+    /// transitions at most once, at its boundary.
+    fn runs(&mut self, words: &[u32]) {
+        let mut i = 0usize;
+        while i < words.len() {
+            let h = words[i];
+            let count = (h & COUNT_MASK) as usize;
+            if h & CONST_BIT != 0 {
+                self.value(words[i + 4]);
+            } else {
+                for &v in &words[i + 4..i + 4 + count] {
+                    self.value(v);
+                }
+            }
+            self.events += count as u64;
+            i += run_words(h);
+        }
+    }
+
+    /// Eq. 2 / Eq. 3 over `latency` cycles; `(0, 0)` for fewer than two
+    /// events or a zero latency.
+    pub fn sa_ar(&self, latency: u64) -> (f64, f64) {
+        if latency == 0 || self.events < 2 {
+            return (0.0, 0.0);
+        }
+        (
+            self.hamming as f64 / latency as f64,
+            self.changes as f64 / latency as f64,
+        )
+    }
+}
+
 /// A read cursor over one encoded stream, yielding `(cycle, bits)` events
-/// without materializing them — the stream-merge fast path reads both
-/// inputs through cursors at 1–2 words per event.
+/// without materializing them.
+#[derive(Clone, Copy)]
 struct StreamCursor<'a> {
     words: &'a [u32],
     /// Index of the next run header.
@@ -485,10 +470,9 @@ struct StreamCursor<'a> {
     rem: u32,
     cycle: u64,
     stride: u64,
-    /// 0 = affine verbatim, 1 = const, 2 = delta.
-    mode: u8,
-    /// Next value position (affine/delta payload walk).
+    /// Position of the next value (fixed inside a const run).
     vpos: usize,
+    is_const: bool,
 }
 
 impl<'a> StreamCursor<'a> {
@@ -499,8 +483,8 @@ impl<'a> StreamCursor<'a> {
             rem: 0,
             cycle: 0,
             stride: 0,
-            mode: 0,
             vpos: 0,
+            is_const: false,
         }
     }
 
@@ -513,100 +497,16 @@ impl<'a> StreamCursor<'a> {
             let h = self.words[self.i];
             self.rem = h & COUNT_MASK;
             self.cycle = self.words[self.i + 1] as u64 | ((self.words[self.i + 2] as u64) << 32);
-            if h & CONST_BIT != 0 {
-                self.mode = 1;
-                self.stride = self.words[self.i + 3] as u64;
-                self.vpos = self.i + 4;
-                self.i += 5;
-            } else if h & DELTA_BIT != 0 {
-                self.mode = 2;
-                self.vpos = self.i + 3;
-                self.i += 4 + 2 * (self.rem as usize - 1);
-                self.rem -= 1;
-                let ev = (self.cycle, self.words[self.vpos]);
-                self.vpos += 1;
-                return Some(ev);
-            } else {
-                self.mode = 0;
-                self.stride = self.words[self.i + 3] as u64;
-                self.vpos = self.i + 4;
-                self.i += 4 + self.rem as usize;
-            }
+            self.stride = self.words[self.i + 3] as u64;
+            self.vpos = self.i + 4;
+            self.is_const = h & CONST_BIT != 0;
+            self.i += run_words(h);
         }
         self.rem -= 1;
-        match self.mode {
-            1 => {
-                let ev = (self.cycle, self.words[self.vpos]);
-                self.cycle += self.stride;
-                Some(ev)
-            }
-            2 => {
-                self.cycle += self.words[self.vpos] as u64;
-                let ev = (self.cycle, self.words[self.vpos + 1]);
-                self.vpos += 2;
-                Some(ev)
-            }
-            _ => {
-                let ev = (self.cycle, self.words[self.vpos]);
-                self.cycle += self.stride;
-                self.vpos += 1;
-                Some(ev)
-            }
-        }
-    }
-}
-
-/// Appends one event to an open delta run (see [`MergeScratch`]); returns
-/// the updated `(header_index, count, last_cycle)` state.
-#[inline]
-fn emit_delta(out: &mut Vec<u32>, state: (usize, u32, u64), c: u64, v: u32) -> (usize, u32, u64) {
-    let (hdr, count, last_cycle) = state;
-    let d = c.wrapping_sub(last_cycle);
-    if hdr != usize::MAX && c >= last_cycle && d <= u32::MAX as u64 {
-        out.extend_from_slice(&[d as u32, v]);
-        (hdr, count + 1, c)
-    } else {
-        if hdr != usize::MAX {
-            out[hdr] = DELTA_BIT | count;
-        }
-        let new_hdr = out.len();
-        out.extend_from_slice(&[0, c as u32, (c >> 32) as u32, v]);
-        (new_hdr, 1, c)
-    }
-}
-
-/// Merges two encoded streams by cycle entirely in the compressed domain
-/// (stable: ties take `a` first, like [`crate::sa::merge_events`]),
-/// appending the interleave to `out` as delta runs. Both inputs must be
-/// non-empty.
-pub fn merge_streams(out: &mut Vec<u32>, a: &[u32], b: &[u32]) -> EventRef {
-    let begin = out.len();
-    let mut ca = StreamCursor::new(a);
-    let mut cb = StreamCursor::new(b);
-    let mut ea = ca.next();
-    let mut eb = cb.next();
-    let mut state = (usize::MAX, 0u32, 0u64);
-    loop {
-        match (ea, eb) {
-            (Some((xc, xv)), Some((yc, _))) if xc <= yc => {
-                state = emit_delta(out, state, xc, xv);
-                ea = ca.next();
-            }
-            (_, Some((yc, yv))) => {
-                state = emit_delta(out, state, yc, yv);
-                eb = cb.next();
-            }
-            (Some((xc, xv)), None) => {
-                state = emit_delta(out, state, xc, xv);
-                ea = ca.next();
-            }
-            (None, None) => break,
-        }
-    }
-    out[state.0] = DELTA_BIT | state.1;
-    EventRef {
-        off: begin as u32,
-        len: (out.len() - begin) as u32,
+        let ev = (self.cycle, self.words[self.vpos]);
+        self.cycle += self.stride;
+        self.vpos += !self.is_const as usize;
+        Some(ev)
     }
 }
 
@@ -614,7 +514,7 @@ pub fn merge_streams(out: &mut Vec<u32>, a: &[u32], b: &[u32]) -> EventRef {
 /// possibly several const/affine runs back to back, all with one stride
 /// and contiguous starts. This is the shape every interpreter stream has
 /// (one arithmetic progression per block, values segmented into
-/// const/verbatim runs); merged delta streams are not affine.
+/// const/verbatim runs).
 #[derive(Clone, Copy)]
 struct AffineMeta {
     start: u64,
@@ -635,7 +535,7 @@ fn parse_affine(words: &[u32]) -> Option<AffineMeta> {
         let run_count = (h & COUNT_MASK) as u64;
         // A one-event run's stride is meaningless; any other run must
         // continue the progression exactly.
-        if h & DELTA_BIT != 0 || (run_count > 1 && words[i + 3] != stride) {
+        if run_count > 1 && words[i + 3] != stride {
             return None;
         }
         let run_start = words[i + 1] as u64 | ((words[i + 2] as u64) << 32);
@@ -652,64 +552,13 @@ fn parse_affine(words: &[u32]) -> Option<AffineMeta> {
     })
 }
 
-/// Sequential value reader over an affine-progression stream (no cycle
-/// bookkeeping — the aligned merge derives cycles algebraically).
-struct AffineReader<'a> {
-    words: &'a [u32],
-    /// Next run header index.
-    i: usize,
-    /// Values left in the current run.
-    rem: u32,
-    is_const: bool,
-    const_val: u32,
-    vpos: usize,
-}
-
-impl<'a> AffineReader<'a> {
-    fn new(words: &'a [u32]) -> Self {
-        AffineReader {
-            words,
-            i: 0,
-            rem: 0,
-            is_const: false,
-            const_val: 0,
-            vpos: 0,
-        }
-    }
-
-    #[inline]
-    fn next(&mut self) -> u32 {
-        if self.rem == 0 {
-            let h = self.words[self.i];
-            self.rem = h & COUNT_MASK;
-            self.is_const = h & CONST_BIT != 0;
-            if self.is_const {
-                self.const_val = self.words[self.i + 4];
-                self.i += 5;
-            } else {
-                self.vpos = self.i + 4;
-                self.i += 4 + self.rem as usize;
-            }
-        }
-        self.rem -= 1;
-        if self.is_const {
-            self.const_val
-        } else {
-            let v = self.words[self.vpos];
-            self.vpos += 1;
-            v
-        }
-    }
-}
-
 /// First event cycle of a non-empty encoded stream.
 #[inline]
 fn stream_first(words: &[u32]) -> u64 {
     words[1] as u64 | ((words[2] as u64) << 32)
 }
 
-/// Last event cycle of a non-empty encoded stream (walks runs; delta runs
-/// cost one add per event).
+/// Last event cycle of a non-empty encoded stream.
 fn stream_last(words: &[u32]) -> u64 {
     let mut i = 0usize;
     let mut last = 0u64;
@@ -717,313 +566,250 @@ fn stream_last(words: &[u32]) -> u64 {
         let h = words[i];
         let count = (h & COUNT_MASK) as u64;
         let start = words[i + 1] as u64 | ((words[i + 2] as u64) << 32);
-        if h & DELTA_BIT != 0 {
-            let mut c = start;
-            let mut j = i + 4;
-            for _ in 1..count {
-                c += words[j] as u64;
-                j += 2;
-            }
-            last = c;
-        } else {
-            last = start + (count - 1) * words[i + 3] as u64;
-        }
+        last = start + (count - 1) * words[i + 3] as u64;
         i += run_words(h);
     }
     last
 }
 
-/// Aligned-lane fast path: every input is one affine progression with the
-/// same stride and count, and the start-cycle spread is smaller than the
-/// stride — the shape datapath merging produces when it fuses the
-/// parallel lanes of one block. The interleave is then perfectly
-/// periodic: iteration `i` emits every lane's `i`-th event in
-/// `(start, input index)` order, so the merge is a tight table walk with
-/// no per-event comparisons. Returns `None` when the shape doesn't hold.
-fn try_merge_aligned(out: &mut Vec<u32>, inputs: &[&[u32]]) -> Option<EventRef> {
-    let k = inputs.len();
-    let mut meta: [AffineMeta; MERGE_FAN_IN] = [AffineMeta {
-        start: 0,
-        stride: 0,
-        count: 0,
-    }; MERGE_FAN_IN];
-    for (slot, w) in meta.iter_mut().zip(inputs.iter()) {
-        *slot = parse_affine(w)?;
+/// Per-member scratch slots of a merge live on the stack up to this
+/// fan-in; wider merges take them from the heap.
+const INLINE_FAN_IN: usize = 16;
+
+/// Runs `f` over `k` scratch slots initialised to `fill`.
+fn with_slots<T: Copy, R>(k: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
+    if k <= INLINE_FAN_IN {
+        f(&mut [fill; INLINE_FAN_IN][..k])
+    } else {
+        f(&mut vec![fill; k])
     }
-    let (stride, count) = (meta[0].stride, meta[0].count);
-    if count == 0 {
-        return None;
-    }
-    for m in meta.iter().take(k) {
-        if m.stride != stride || m.count != count {
-            return None;
-        }
-    }
-    // Emission order within one iteration: by (start, input index).
-    let mut order: [usize; MERGE_FAN_IN] = [0; MERGE_FAN_IN];
-    for (i, o) in order.iter_mut().enumerate() {
-        *o = i;
-    }
-    order[..k].sort_by_key(|&i| (meta[i].start, i));
-    let spread = meta[order[k - 1]].start - meta[order[0]].start;
-    if spread >= stride as u64 {
-        return None;
-    }
-    // Cycle deltas are periodic: within an iteration the start gaps, and
-    // the wrap back to the next iteration's first lane.
-    let mut deltas: [u32; MERGE_FAN_IN] = [0; MERGE_FAN_IN];
-    for j in 1..k {
-        deltas[j] = (meta[order[j]].start - meta[order[j - 1]].start) as u32;
-    }
-    let wrap = stride - spread as u32;
-    let begin = out.len();
-    let s0 = meta[order[0]].start;
-    out.extend_from_slice(&[DELTA_BIT | (count * k as u32), s0 as u32, (s0 >> 32) as u32]);
-    let mut readers: [AffineReader<'_>; MERGE_FAN_IN] =
-        std::array::from_fn(|j| AffineReader::new(inputs[order[..k].get(j).copied().unwrap_or(0)]));
-    out.push(readers[0].next());
-    for j in 1..k {
-        out.push(deltas[j]);
-        out.push(readers[j].next());
-    }
-    for _ in 1..count {
-        out.push(wrap);
-        out.push(readers[0].next());
-        for j in 1..k {
-            out.push(deltas[j]);
-            out.push(readers[j].next());
-        }
-    }
-    Some(EventRef {
-        off: begin as u32,
-        len: (out.len() - begin) as u32,
-    })
 }
 
-/// Merges one cluster of time-overlapping inputs (original member order):
-/// aligned lanes when the shape allows, cursors otherwise.
-fn merge_cluster(out: &mut Vec<u32>, inputs: &[&[u32]]) {
-    if try_merge_aligned(out, inputs).is_some() {
-        return;
-    }
-    if let [a, b] = *inputs {
-        merge_streams(out, a, b);
-        return;
-    }
-    let k = inputs.len();
-    let mut cursors: [StreamCursor<'_>; MERGE_FAN_IN] =
-        std::array::from_fn(|i| StreamCursor::new(inputs.get(i).copied().unwrap_or(&[])));
-    let mut heads: [(u64, u32); MERGE_FAN_IN] = [(u64::MAX, 0); MERGE_FAN_IN];
-    for (h, c) in heads.iter_mut().zip(cursors.iter_mut()) {
-        if let Some(ev) = c.next() {
-            *h = ev;
-        }
-    }
-    let mut state = (usize::MAX, 0u32, 0u64);
-    loop {
-        // Strict `<` keeps the earliest stream first on cycle ties;
-        // exhausted cursors park at u64::MAX.
-        let mut best = 0usize;
-        let mut best_c = heads[0].0;
-        for (s, h) in heads.iter().enumerate().take(k).skip(1) {
-            if h.0 < best_c {
-                best_c = h.0;
-                best = s;
-            }
-        }
-        if best_c == u64::MAX {
-            break;
-        }
-        state = emit_delta(out, state, heads[best].0, heads[best].1);
-        heads[best] = cursors[best].next().unwrap_or((u64::MAX, 0));
-    }
-    out[state.0] = DELTA_BIT | state.1;
-}
-
-/// K-way compressed-domain merge of up to [`MERGE_FAN_IN`] non-empty
-/// streams (stable: equal cycles take the earliest stream first —
-/// bit-identical to a left-fold of pairwise [`crate::sa::merge_events`]).
-/// Appends the interleave to `out`.
+/// Folds the stable time-merge of `inputs` without materializing it:
+/// equal cycles take the earlier input first, the order of a left fold of
+/// pairwise [`crate::sa::merge_events`]. Any fan-in; empty inputs
+/// contribute nothing, and one input folds its runs directly.
 ///
 /// Inputs are first partitioned into clusters of time-overlapping
 /// streams: streams of *different blocks* occupy disjoint cycle windows
-/// (blocks execute in distributed order), so their merge is pure
-/// concatenation of cluster results — singleton clusters are copied
-/// verbatim, preserving const/affine runs, and only genuinely
-/// interleaving streams pay for a real merge. Strict window disjointness
-/// means cycle ties can only occur inside one cluster, where members keep
-/// their original relative order — so the tie-break is identical to the
-/// pairwise fold.
-pub fn merge_streams_k(out: &mut Vec<u32>, inputs: &[&[u32]]) -> EventRef {
-    debug_assert!((2..=MERGE_FAN_IN).contains(&inputs.len()));
-    let k = inputs.len();
-    let begin = out.len();
-    let mut order: [(u64, usize); MERGE_FAN_IN] = [(0, 0); MERGE_FAN_IN];
-    let mut last: [u64; MERGE_FAN_IN] = [0; MERGE_FAN_IN];
-    for (i, w) in inputs.iter().enumerate() {
-        order[i] = (stream_first(w), i);
-        last[i] = stream_last(w);
+/// (blocks execute in distributed order), so the merge visits whole
+/// clusters one after another. A singleton cluster folds run by run
+/// (const runs in O(1)), and only genuinely interleaving streams pay for
+/// a merge. Strict window disjointness means cycle ties can only occur
+/// inside one cluster, where members keep their original relative order,
+/// so the tie-break is the pairwise fold's.
+pub fn merge_fold(inputs: &[&[u32]]) -> Fold {
+    let mut acc = Fold::default();
+    if let [w] = inputs {
+        acc.runs(w);
+        return acc;
     }
-    order[..k].sort_unstable();
-    let mut ci = 0usize;
-    while ci < k {
-        // Grow the cluster while the next stream's window starts at or
-        // before the cluster's end (ties must stay inside one cluster).
-        let mut cj = ci;
-        let mut end = last[order[ci].1];
-        while cj + 1 < k && order[cj + 1].0 <= end {
-            cj += 1;
-            end = end.max(last[order[cj].1]);
+    with_slots(inputs.len(), (0u64, 0usize, 0u64), |windows| {
+        // (first cycle, input index, last cycle) of every non-empty input.
+        let mut m = 0usize;
+        for (i, w) in inputs.iter().enumerate().filter(|(_, w)| !w.is_empty()) {
+            windows[m] = (stream_first(w), i, stream_last(w));
+            m += 1;
         }
-        if ci == 0 && cj == k - 1 {
-            // One cluster spanning everything: merge in the given order.
-            merge_cluster(out, inputs);
-            break;
-        }
-        if cj == ci {
-            out.extend_from_slice(inputs[order[ci].1]);
-        } else {
-            // Cluster members in original member order.
-            let mut idx: [usize; MERGE_FAN_IN] = [0; MERGE_FAN_IN];
-            let m = cj - ci + 1;
-            for (slot, &(_, i)) in idx.iter_mut().zip(order[ci..=cj].iter()) {
-                *slot = i;
+        let windows = &mut windows[..m];
+        windows.sort_unstable();
+        let mut ci = 0usize;
+        while ci < m {
+            // Grow the cluster while the next stream's window starts at or
+            // before the cluster's end (ties must stay inside one cluster).
+            let mut cj = ci;
+            let mut end = windows[ci].2;
+            while cj + 1 < m && windows[cj + 1].0 <= end {
+                cj += 1;
+                end = end.max(windows[cj].2);
             }
-            idx[..m].sort_unstable();
-            let mut members: [&[u32]; MERGE_FAN_IN] = [&[]; MERGE_FAN_IN];
-            for (slot, &i) in members.iter_mut().zip(idx[..m].iter()) {
-                *slot = inputs[i];
+            let cluster = &mut windows[ci..=cj];
+            if let [(_, i, _)] = *cluster {
+                acc.runs(inputs[i]);
+            } else {
+                // Cluster members in original input order.
+                cluster.sort_unstable_by_key(|w| w.1);
+                with_slots(cluster.len(), &[][..], |members| {
+                    for (slot, w) in members.iter_mut().zip(cluster.iter()) {
+                        *slot = inputs[w.1];
+                    }
+                    if !fold_aligned(&mut acc, members) {
+                        fold_cursors(&mut acc, members);
+                    }
+                });
             }
-            merge_cluster(out, &members[..m]);
+            ci = cj + 1;
         }
-        ci = cj + 1;
+    });
+    acc
+}
+
+/// One lane of an aligned walk: a read position in one affine stream.
+#[derive(Clone, Copy)]
+struct Lane<'a> {
+    start: u64,
+    member: usize,
+    words: &'a [u32],
+    /// Header index of the next run.
+    next: usize,
+    /// Events left in the current run.
+    rem: u32,
+    /// Position of the current value; it advances by `step` per event,
+    /// which is 0 inside a const run.
+    vpos: usize,
+    step: usize,
+}
+
+impl<'a> Lane<'a> {
+    fn new(start: u64, member: usize, words: &'a [u32]) -> Self {
+        Lane {
+            start,
+            member,
+            words,
+            next: 0,
+            rem: 0,
+            vpos: 0,
+            step: 0,
+        }
     }
-    EventRef {
-        off: begin as u32,
-        len: (out.len() - begin) as u32,
+
+    fn load_run(&mut self) {
+        let h = self.words[self.next];
+        self.rem = h & COUNT_MASK;
+        self.vpos = self.next + 4;
+        self.step = (h & CONST_BIT == 0) as usize;
+        self.next += run_words(h);
     }
 }
 
-/// Maximum fan-in of [`merge_streams_k`]; wider groups fall back to the
-/// decode-based [`MergeScratch`] path.
-pub const MERGE_FAN_IN: usize = 16;
-
-/// Reusable decode buffers for k-way stream merges (one per caller, so a
-/// pass fusing hundreds of parallel-edge groups performs no per-merge
-/// allocations and decodes every input exactly once — sequential pairwise
-/// merging re-decodes the accumulating stream per pair, which is
-/// quadratic). Two-phase because the common caller appends to the same
-/// arena it reads from: [`MergeScratch::begin`] + [`MergeScratch::add`]
-/// decode the inputs (immutable borrows end), then
-/// [`MergeScratch::encode_merged`] writes the interleave.
-#[derive(Debug, Default)]
-pub struct MergeScratch {
-    bufs: Vec<Vec<(u64, u32)>>,
-    used: usize,
-    heads: Vec<usize>,
-    /// Staging for compressed-domain merges whose output arena is also an
-    /// input (append while reading would alias).
-    pub words_tmp: Vec<u32>,
-}
-
-impl MergeScratch {
-    /// Starts a new merge, dropping previously added inputs (buffer
-    /// capacity is kept).
-    pub fn begin(&mut self) {
-        self.used = 0;
-    }
-
-    /// Decodes one more input stream.
-    pub fn add(&mut self, words: &[u32]) {
-        if self.used == self.bufs.len() {
-            self.bufs.push(Vec::new());
+/// Aligned-lane fast path: every member is one affine progression with
+/// the same stride and count, and the start-cycle spread is smaller than
+/// the stride — the shape datapath merging produces when it fuses the
+/// parallel lanes of one block. The interleave is then perfectly
+/// periodic: iteration `i` visits every lane's `i`-th event in
+/// `(start, member index)` order, so the fold is a table walk with no
+/// cycle comparisons. It goes chunk by chunk, a chunk being as many
+/// iterations as every lane stays inside its current run; when every
+/// lane is in a const run, the chunk's iterations all repeat one value
+/// pattern and fold in O(lanes). Returns `false`, having folded nothing,
+/// when the shape does not hold.
+fn fold_aligned(acc: &mut Fold, members: &[&[u32]]) -> bool {
+    let Some(first) = parse_affine(members[0]) else {
+        return false;
+    };
+    with_slots(members.len(), Lane::new(0, 0, &[]), |lanes| {
+        for (j, (lane, w)) in lanes.iter_mut().zip(members).enumerate() {
+            match parse_affine(w) {
+                Some(m) if m.stride == first.stride && m.count == first.count => {
+                    *lane = Lane::new(m.start, j, w);
+                }
+                _ => return false,
+            }
         }
-        let buf = &mut self.bufs[self.used];
-        buf.clear();
-        decode_into(buf, words);
-        self.used += 1;
-    }
-
-    /// Merges the decoded inputs by cycle (stable: equal cycles take the
-    /// earliest-added stream first, matching a left-fold of
-    /// [`crate::sa::merge_events`]) and encodes the interleave into `out`
-    /// as delta runs — a time-interleave of affine streams has no single
-    /// stride, and delta runs make the merge a plain pointer walk at
-    /// 2 words per event.
-    pub fn encode_merged(&mut self, out: &mut Vec<u32>) -> EventRef {
-        let begin = out.len();
-        let bufs = &self.bufs[..self.used];
-        if bufs.iter().all(|b| b.is_empty()) {
-            return EventRef {
-                off: begin as u32,
-                len: 0,
-            };
+        lanes.sort_unstable_by_key(|l| (l.start, l.member));
+        if lanes[lanes.len() - 1].start - lanes[0].start >= first.stride as u64 {
+            return false;
         }
-        // One shared delta-run emitter (see [`emit_delta`]).
-        let mut state = (usize::MAX, 0u32, 0u64);
-        if bufs.len() == 2 {
-            // Two-pointer fast path (the overwhelmingly common group size).
-            let (ea, eb) = (&bufs[0][..], &bufs[1][..]);
-            let (mut i, mut j) = (0, 0);
-            while i < ea.len() && j < eb.len() {
-                if ea[i].0 <= eb[j].0 {
-                    state = emit_delta(out, state, ea[i].0, ea[i].1);
-                    i += 1;
-                } else {
-                    state = emit_delta(out, state, eb[j].0, eb[j].1);
-                    j += 1;
+        let mut left = first.count;
+        while left > 0 {
+            let mut chunk = u32::MAX;
+            let mut all_const = true;
+            for lane in lanes.iter_mut() {
+                if lane.rem == 0 {
+                    lane.load_run();
+                }
+                chunk = chunk.min(lane.rem);
+                all_const &= lane.step == 0;
+            }
+            if all_const {
+                // The first iteration enters from the previous value;
+                // every later one repeats the same lane-to-lane totals.
+                for lane in lanes.iter() {
+                    acc.value(lane.words[lane.vpos]);
+                }
+                let mut pattern = Fold {
+                    prev: acc.prev,
+                    have_prev: true,
+                    ..Fold::default()
+                };
+                for lane in lanes.iter() {
+                    pattern.value(lane.words[lane.vpos]);
+                }
+                let repeats = (chunk - 1) as u64;
+                acc.hamming += repeats * pattern.hamming;
+                acc.changes += repeats * pattern.changes;
+            } else {
+                for i in 0..chunk as usize {
+                    for lane in lanes.iter() {
+                        acc.value(lane.words[lane.vpos + i * lane.step]);
+                    }
+                }
+                for lane in lanes.iter_mut() {
+                    lane.vpos += chunk as usize * lane.step;
                 }
             }
-            for &(c, v) in &ea[i..] {
-                state = emit_delta(out, state, c, v);
+            for lane in lanes.iter_mut() {
+                lane.rem -= chunk;
             }
-            for &(c, v) in &eb[j..] {
-                state = emit_delta(out, state, c, v);
+            left -= chunk;
+        }
+        acc.events += first.count as u64 * lanes.len() as u64;
+        true
+    })
+}
+
+/// Cursor merge of one cluster (members in original order). Each step
+/// takes the head with the earliest cycle, the earlier member on ties,
+/// and keeps taking from that member while it stays ahead of every other
+/// head, so long stretches of one member cost one comparison per event.
+fn fold_cursors(acc: &mut Fold, members: &[&[u32]]) {
+    with_slots(
+        members.len(),
+        (u64::MAX, 0u32, StreamCursor::new(&[])),
+        |heads| {
+            for (h, w) in heads.iter_mut().zip(members) {
+                let mut c = StreamCursor::new(w);
+                // Exhausted cursors park at u64::MAX.
+                let (cycle, v) = c.next().unwrap_or((u64::MAX, 0));
+                *h = (cycle, v, c);
             }
-        } else {
-            // k-way linear-scan merge; strict `<` keeps the earliest-added
-            // stream first on cycle ties.
-            self.heads.clear();
-            self.heads.resize(bufs.len(), 0);
             loop {
-                let mut best = usize::MAX;
-                let mut best_c = u64::MAX;
-                for (s, buf) in bufs.iter().enumerate() {
-                    if self.heads[s] < buf.len() {
-                        let c = buf[self.heads[s]].0;
-                        if c < best_c {
-                            best_c = c;
-                            best = s;
+                // Earliest head, then the earliest of the others; strict `<`
+                // keeps the lower member index on ties.
+                let (mut best, mut next) = (0usize, usize::MAX);
+                for s in 1..heads.len() {
+                    if heads[s].0 < heads[best].0 {
+                        next = best;
+                        best = s;
+                    } else if next == usize::MAX || heads[s].0 < heads[next].0 {
+                        next = s;
+                    }
+                }
+                if heads[best].0 == u64::MAX {
+                    break;
+                }
+                let (bound, bound_member) = (heads[next].0, next);
+                let head = &mut heads[best];
+                loop {
+                    acc.value(head.1);
+                    acc.events += 1;
+                    match head.2.next() {
+                        Some((c, v)) => {
+                            head.0 = c;
+                            head.1 = v;
+                            if c > bound || (c == bound && best > bound_member) {
+                                break;
+                            }
+                        }
+                        None => {
+                            head.0 = u64::MAX;
+                            break;
                         }
                     }
                 }
-                if best == usize::MAX {
-                    break;
-                }
-                let (c, v) = bufs[best][self.heads[best]];
-                state = emit_delta(out, state, c, v);
-                self.heads[best] += 1;
             }
-        }
-        out[state.0] = DELTA_BIT | state.1;
-        EventRef {
-            off: begin as u32,
-            len: (out.len() - begin) as u32,
-        }
-    }
-}
-
-/// One-shot [`MergeScratch`] merge of two encoded streams into `out`.
-pub fn merge_encoded(
-    out: &mut Vec<u32>,
-    a: &[u32],
-    b: &[u32],
-    scratch: &mut MergeScratch,
-) -> EventRef {
-    scratch.begin();
-    scratch.add(a);
-    scratch.add(b);
-    scratch.encode_merged(out)
+        },
+    );
 }
 
 #[cfg(test)]
@@ -1208,7 +994,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_encoded_matches_merge_events() {
+    fn merge_fold_matches_folding_merge_events() {
         let cases: Vec<(Vec<(u64, u32)>, Vec<(u64, u32)>)> = vec![
             (vec![(0, 1), (4, 2), (8, 3)], vec![(1, 9), (4, 8), (20, 7)]),
             (vec![], vec![(1, 9), (2, 8)]),
@@ -1217,39 +1003,78 @@ mod tests {
                 (0..40u64).map(|c| (c * 2, c as u32)).collect(),
                 (0..40u64).map(|c| (c * 2 + 1, 7)).collect(),
             ),
+            (
+                (0..30u64).map(|c| (c * 3, (c * 17) as u32)).collect(),
+                (0..30u64).map(|c| (c * 3 + 1, 0xF0)).collect(),
+            ),
         ];
-        let mut scratch = MergeScratch::default();
         for (a, b) in cases {
             let mut arena = EventArena::new();
             let ra = arena.push_events(&a);
             let rb = arena.push_events(&b);
-            let mut out = Vec::new();
-            let rm = merge_encoded(&mut out, arena.stream(ra), arena.stream(rb), &mut scratch);
-            let merged = decode(&out[rm.off as usize..(rm.off + rm.len) as usize]);
-            assert_eq!(merged, merge_events(&a, &b), "case a={a:?} b={b:?}");
+            let naive = merge_events(&a, &b);
+            let fold = merge_fold(&[arena.stream(ra), arena.stream(rb)]);
+            assert_eq!(fold.events, naive.len() as u64, "case a={a:?} b={b:?}");
+            for latency in [0, 1, 97] {
+                let (sa_c, ar_c) = fold.sa_ar(latency);
+                let (sa_n, ar_n) = sa_ar(&naive, latency);
+                assert_eq!(sa_c.to_bits(), sa_n.to_bits(), "case a={a:?} b={b:?}");
+                assert_eq!(ar_c.to_bits(), ar_n.to_bits(), "case a={a:?} b={b:?}");
+            }
         }
     }
 
     #[test]
-    fn merged_stream_folds_bit_identically() {
-        let a: Vec<(u64, u32)> = (0..30u64).map(|c| (c * 3, (c * 17) as u32)).collect();
-        let b: Vec<(u64, u32)> = (0..30u64).map(|c| (c * 3 + 1, 0xF0)).collect();
-        let naive = merge_events(&a, &b);
+    fn aligned_lanes_take_the_table_walk() {
+        // Four lanes of one block: one stride and count, starts within a
+        // stride, two pairs of equal starts (cycle ties across lanes).
+        let lane = |j: u64| -> Vec<(u64, u32)> {
+            (0..20u64)
+                .map(|i| (100 + j / 2 + i * 8, (i * j % 5) as u32))
+                .collect()
+        };
+        let lanes: Vec<Vec<(u64, u32)>> = (0..4).map(lane).collect();
         let mut arena = EventArena::new();
-        let ra = arena.push_events(&a);
-        let rb = arena.push_events(&b);
-        let mut out = Vec::new();
-        let rm = merge_encoded(
-            &mut out,
-            arena.stream(ra),
-            arena.stream(rb),
-            &mut MergeScratch::default(),
-        );
-        let run = &out[rm.off as usize..(rm.off + rm.len) as usize];
-        let (sa_c, ar_c) = fold_sa_ar(run, 97);
-        let (sa_n, ar_n) = sa_ar(&naive, 97);
-        assert_eq!(sa_c.to_bits(), sa_n.to_bits());
-        assert_eq!(ar_c.to_bits(), ar_n.to_bits());
-        assert_eq!(event_count(run), naive.len());
+        let refs: Vec<EventRef> = lanes.iter().map(|l| arena.push_events(l)).collect();
+        let inputs: Vec<&[u32]> = refs.iter().map(|&r| arena.stream(r)).collect();
+        let mut walked = Fold::default();
+        assert!(fold_aligned(&mut walked, &inputs));
+        let mut merged = Fold::default();
+        fold_cursors(&mut merged, &inputs);
+        assert_eq!(walked, merged);
+        let naive = lanes[1..]
+            .iter()
+            .fold(lanes[0].clone(), |acc, l| merge_events(&acc, l));
+        assert_eq!(walked.events, naive.len() as u64);
+        assert_eq!(walked.sa_ar(1), sa_ar(&naive, 1));
+        assert_eq!(merge_fold(&inputs), walked);
+        // Const stretches ending at different events in each lane: chunks
+        // where every lane is const fold by repeating one pattern.
+        let stretch = |j: u64| -> Vec<(u64, u32)> {
+            (0..60u64)
+                .map(|i| (7 + j + i * 5, ((i + 3 * j) / 9 % 3) as u32 + j as u32))
+                .collect()
+        };
+        let stretches: Vec<Vec<(u64, u32)>> = (0..3).map(stretch).collect();
+        let refs3: Vec<EventRef> = stretches.iter().map(|l| arena.push_events(l)).collect();
+        let inputs3: Vec<&[u32]> = refs3.iter().map(|&r| arena.stream(r)).collect();
+        let mut walked = Fold::default();
+        assert!(fold_aligned(&mut walked, &inputs3));
+        let mut merged = Fold::default();
+        fold_cursors(&mut merged, &inputs3);
+        assert_eq!(walked, merged);
+        let naive = stretches[1..]
+            .iter()
+            .fold(stretches[0].clone(), |acc, l| merge_events(&acc, l));
+        assert_eq!(walked.sa_ar(1), sa_ar(&naive, 1));
+        // A lane a whole stride late is not aligned: nothing is folded.
+        let late: Vec<(u64, u32)> = lanes[3].iter().map(|&(c, v)| (c + 8, v)).collect();
+        let r = arena.push_events(&late);
+        let mut untouched = Fold::default();
+        assert!(!fold_aligned(
+            &mut untouched,
+            &[arena.stream(refs[0]), arena.stream(r)]
+        ));
+        assert_eq!(untouched, Fold::default());
     }
 }

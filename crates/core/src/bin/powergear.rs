@@ -163,6 +163,18 @@ fn load_kernel(args: &[String]) -> Result<pg_ir::Kernel, String> {
     })
 }
 
+/// [`load_kernel`] for commands whose only positional is the kernel: their
+/// design-point count is `--samples`, so a second positional is an error
+/// instead of being silently ignored.
+fn load_sole_kernel(args: &[String]) -> Result<pg_ir::Kernel, String> {
+    if let Some(extra) = positionals(args)?.get(1) {
+        return Err(format!(
+            "unexpected argument `{extra}`; pass a design-point count as --samples <n>"
+        ));
+    }
+    load_kernel(args)
+}
+
 fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
@@ -317,7 +329,7 @@ fn build_dataset(
 /// persisting a `pg_store` snapshot that `load_dataset` can replay without
 /// any synthesis.
 fn cmd_dataset(args: &[String]) -> Result<(), String> {
-    let kernel = load_kernel(args)?;
+    let kernel = load_sole_kernel(args)?;
     let defaults = DatasetConfig::default();
     let cfg = DatasetConfig {
         size: flag_value(args, "--size")?.unwrap_or(12),
@@ -359,7 +371,7 @@ fn cmd_dataset(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    let kernel = load_kernel(args)?;
+    let kernel = load_sole_kernel(args)?;
     let save: Option<String> = flag_value(args, "--save")?;
     let registry_dir: Option<String> = flag_value(args, "--registry")?;
     let reg_name: Option<String> = flag_value(args, "--name")?;
@@ -588,7 +600,7 @@ fn verify_registry(reg: &ModelRegistry, entries: &[pg_store::RegistryEntry]) -> 
 }
 
 fn cmd_dse(args: &[String]) -> Result<(), String> {
-    let kernel = load_kernel(args)?;
+    let kernel = load_sole_kernel(args)?;
     let (path, artifact) = load_artifact(args, Some(&kernel.name))?;
     let model = PowerGear::from_artifact(&artifact).map_err(|e| e.to_string())?;
     let dse_cfg = match flag_value::<f64>(args, "--budget")? {
@@ -612,6 +624,12 @@ fn cmd_dse(args: &[String]) -> Result<(), String> {
         dse_cfg.budget_frac * 100.0
     );
     let [predicted] = predict_heads([&model.dynamic_model], &graphs, &ServeConfig::default());
+    if let Some(i) = predicted.iter().position(|p| !p.is_finite()) {
+        return Err(format!(
+            "`{path}` predicts a non-finite dynamic power ({}) for design point {}",
+            predicted[i], ds.samples[i].design_id
+        ));
+    }
     let out = pg_dse::run_dse(&latency, &truth, &predicted, &dse_cfg);
     println!("{}", out.summary(graphs.len()));
     for p in &out.approx_frontier {

@@ -194,3 +194,23 @@ fn eval_rejects_positional_arguments() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unexpected argument `atax`"), "{stderr}");
 }
+
+#[test]
+fn count_commands_reject_a_second_positional() {
+    for cmd in [
+        &["dse", "bicg", "12", "--size", "8", "--model", "m.pgm"][..],
+        &["train", "bicg", "12", "--save", "m.pgm"],
+        &["dataset", "bicg", "12"],
+    ] {
+        let out = powergear().args(cmd).output().expect("run powergear");
+        assert!(!out.status.success(), "{cmd:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{cmd:?}: {stderr}");
+        assert!(
+            errors[0].contains("unexpected argument `12`"),
+            "{cmd:?}: {stderr}"
+        );
+        assert!(errors[0].contains("--samples"), "{cmd:?}: {stderr}");
+    }
+}

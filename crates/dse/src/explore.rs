@@ -143,7 +143,8 @@ pub fn run_dse(
                     (d, i)
                 })
                 .collect();
-            rest.sort_by(|a, b| a.partial_cmp(b).expect("no NaN distances"));
+            // A NaN distance (from a NaN prediction) sorts last.
+            rest.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             candidates.extend(rest.into_iter().map(|(_, i)| i));
         }
         if candidates.is_empty() {
@@ -263,6 +264,21 @@ mod tests {
         let out = run_dse(&lat, &pow, &pow, &DseConfig::with_budget(0.25, 2));
         for p in &out.approx_frontier {
             assert!(out.sampled.contains(&p.id));
+        }
+    }
+
+    #[test]
+    fn non_finite_predictions_do_not_panic() {
+        let (lat, pow) = space(80, 8);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut pred = pow.clone();
+            for i in (0..pred.len()).step_by(3) {
+                pred[i] = bad;
+            }
+            let out = run_dse(&lat, &pow, &pred, &DseConfig::with_budget(0.3, 3));
+            assert_eq!(out.sampled.len(), 24, "{bad}");
+            assert!(out.adrs.is_finite(), "{bad}");
+            assert!(out.approx_frontier.iter().all(|p| p.power.is_finite()));
         }
     }
 

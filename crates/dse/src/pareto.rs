@@ -22,16 +22,20 @@ pub fn dominates(a: &Point, b: &Point) -> bool {
 
 /// Returns the Pareto-optimal subset, sorted by latency ascending.
 ///
-/// Duplicate coordinates keep a single representative (the lowest id).
+/// Duplicate coordinates keep a single representative (the lowest id). A
+/// point with a NaN coordinate is comparable to nothing and never joins
+/// the frontier; infinite coordinates order like any other value.
 pub fn pareto_frontier(points: &[Point]) -> Vec<Point> {
-    if points.is_empty() {
-        return Vec::new();
-    }
-    let mut sorted: Vec<Point> = points.to_vec();
+    let mut sorted: Vec<Point> = points
+        .iter()
+        .filter(|p| !p.latency.is_nan() && !p.power.is_nan())
+        .copied()
+        .collect();
     sorted.sort_by(|a, b| {
-        (a.latency, a.power, a.id)
-            .partial_cmp(&(b.latency, b.power, b.id))
-            .expect("no NaN coordinates")
+        a.latency
+            .total_cmp(&b.latency)
+            .then(a.power.total_cmp(&b.power))
+            .then(a.id.cmp(&b.id))
     });
     let mut frontier: Vec<Point> = Vec::new();
     let mut best_power = f64::INFINITY;
@@ -127,5 +131,35 @@ mod tests {
     fn duplicates_collapse() {
         let f = pareto_frontier(&[pt(0, 1.0, 1.0), pt(1, 1.0, 1.0)]);
         assert_eq!(f.len(), 1);
+    }
+
+    #[test]
+    fn nan_points_never_join_the_frontier() {
+        let pts = vec![
+            pt(0, 10.0, 1.0),
+            pt(1, f64::NAN, 0.5),
+            pt(2, 1.0, f64::NAN),
+            pt(3, -f64::NAN, -f64::NAN),
+            pt(4, 5.0, 2.0),
+        ];
+        let ids: Vec<usize> = pareto_frontier(&pts).iter().map(|p| p.id).collect();
+        assert_eq!(ids, vec![4, 0]);
+        let all_nan = [pt(0, f64::NAN, f64::NAN)];
+        assert!(pareto_frontier(&all_nan).is_empty());
+    }
+
+    #[test]
+    fn infinite_coordinates_order_like_values() {
+        let pts = vec![
+            pt(0, 10.0, 1.0),
+            pt(1, f64::INFINITY, 0.5),
+            pt(2, f64::NEG_INFINITY, 3.0),
+            pt(3, 5.0, f64::INFINITY),
+        ];
+        let ids: Vec<usize> = pareto_frontier(&pts).iter().map(|p| p.id).collect();
+        assert_eq!(ids, vec![2, 0, 1]);
+        let floor = [pt(0, 1.0, f64::NEG_INFINITY), pt(1, 0.5, 2.0)];
+        let ids: Vec<usize> = pareto_frontier(&floor).iter().map(|p| p.id).collect();
+        assert_eq!(ids, vec![1, 0]);
     }
 }

@@ -9,7 +9,6 @@
 //! nodes.
 
 use crate::dfg::{PowerGraph, Relation, WorkGraph};
-use std::collections::BTreeMap;
 
 /// Finalizes a worked graph into a [`PowerGraph`] sample.
 pub fn finalize(g: &WorkGraph, kernel: &str, design_id: &str) -> PowerGraph {
@@ -45,15 +44,18 @@ pub fn finalize(g: &WorkGraph, kernel: &str, design_id: &str) -> PowerGraph {
     let mut edges = Vec::new();
     let mut edge_feats = Vec::new();
     let mut edge_rel = Vec::new();
-    // Fan-out attaches one op's stream to many edges as the same
-    // `(offset, len)` ref — fold each distinct stream once.
-    let mut fold_memo: BTreeMap<(u32, u32), (f64, f64)> = BTreeMap::new();
     for e in g.edges.iter().filter(|e| e.alive) {
         let (s, d) = (remap[e.src], remap[e.dst]);
         debug_assert!(s != u32::MAX && d != u32::MAX);
         edges.push((s, d));
-        let (sa_src, ar_src) = g.events.sa_ar_memo(e.src_ev, g.latency, &mut fold_memo);
-        let (sa_snk, ar_snk) = g.events.sa_ar_memo(e.snk_ev, g.latency, &mut fold_memo);
+        // Merge lists fold once per graph (the netlist reuses the fold);
+        // a stream on both sides folds once per edge.
+        let (sa_src, ar_src) = g.events.sa_ar(e.src_ev, g.latency);
+        let (sa_snk, ar_snk) = if e.snk_ev == e.src_ev {
+            (sa_src, ar_src)
+        } else {
+            g.events.sa_ar(e.snk_ev, g.latency)
+        };
         edge_feats.push([sa_src as f32, sa_snk as f32, ar_src as f32, ar_snk as f32]);
         edge_rel.push(Relation::from_classes(
             g.nodes[e.src].kind.is_arithmetic(),

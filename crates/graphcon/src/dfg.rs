@@ -10,34 +10,74 @@
 //!
 //! Edges do not own event vectors. Every stream lives compressed in a flat
 //! arena (see [`pg_activity::events`] for the run format) and edges hold
-//! copyable [`EventRef`] slices into it, managed by [`GraphEvents`]:
+//! copyable [`EventRef`] handles into it, managed by [`GraphEvents`]. The
+//! top two bits of a ref's offset select where it points:
 //!
-//! * the **base** arena is the execution trace's arena, shared with the
-//!   graph via `Arc` — def-use fan-out, buffer rerouting and trim bypass
-//!   attach an op's stream to many edges as plain `(offset, len)` copies;
-//! * the **extension** arena holds streams the passes create (parallel-
-//!   edge fusion time-merges two streams into a new one), distinguished by
-//!   bit 31 of the ref offset.
+//! * `0x` — the **base** arena, the execution trace's arena shared with
+//!   the graph via `Arc`: def-use fan-out, buffer rerouting and trim
+//!   bypass attach an op's stream to many edges as plain `(offset, len)`
+//!   copies;
+//! * `11` — the **merge-list** arena: parallel-edge fusion does not
+//!   materialize the time-merge of its member streams, it records the
+//!   member refs (offset = list id, len = member count). A member that is
+//!   itself a list is flattened into the new one, which is exact: a
+//!   stable time-merge of sorted streams is the stable sort by cycle of
+//!   their concatenation, so nested merges equal one flat merge of the
+//!   members in order;
+//! * `10` — the **extension** arena, for streams encoded from raw events
+//!   (tests, synthetic graphs).
 //!
 //! Activity folds ([`GraphEvents::sa_ar`]) consume the compressed runs
-//! directly — no decode allocation — and are bit-identical to the naive
-//! slice math of Eq. 2/3.
+//! directly and are bit-identical to the naive slice math of Eq. 2/3. A
+//! merge list is folded by [`pg_activity::events::merge_fold`] at most
+//! once per graph: the first fold is cached with the list, so graph
+//! finalization and the oracle netlist share it.
 
-use pg_activity::events::{EventArena, MergeScratch};
+use pg_activity::events::{merge_fold, EventArena, Fold};
 use pg_activity::{EventRef, NodeActivity};
 use pg_ir::{OpClass, Opcode, ValueId};
+use pg_util::rng::mix64;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Offset tag selecting the extension arena of a [`GraphEvents`].
 const EXT_BIT: u32 = 1 << 31;
+/// Offset tag of a merge-list ref (both top bits set).
+const LIST_TAG: u32 = EXT_BIT | (1 << 30);
+/// Offsets of extension and list refs stay below this bound.
+const TAGGED_BOUND: u32 = 1 << 30;
 
-/// The event storage of one [`WorkGraph`]: the trace's shared base arena
-/// plus a graph-owned extension arena for streams created by passes.
+/// One merge list: a span of the member arena plus its fold, computed on
+/// first use.
+#[derive(Debug, Clone, Default)]
+struct MergeList {
+    start: u32,
+    len: u32,
+    fold: OnceLock<Fold>,
+}
+
+/// Lists compare by their members; whether the fold is cached yet is not
+/// part of a graph's value.
+impl PartialEq for MergeList {
+    fn eq(&self, other: &Self) -> bool {
+        (self.start, self.len) == (other.start, other.len)
+    }
+}
+
+/// The event storage of one [`WorkGraph`]: the trace's shared base arena,
+/// the merge lists of fused edges and an extension arena for streams
+/// encoded from raw events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GraphEvents {
     base: Arc<EventArena>,
     ext: EventArena,
+    /// Member refs of every merge list, back to back (never lists).
+    members: Vec<EventRef>,
+    lists: Vec<MergeList>,
+    /// List id by a hash of its members: merging the same streams again
+    /// (fan-out of a merged node, source and sink sides of one group)
+    /// returns the existing list, so its fold is shared.
+    interned: BTreeMap<u64, u32>,
 }
 
 impl GraphEvents {
@@ -49,12 +89,26 @@ impl GraphEvents {
         );
         GraphEvents {
             base,
-            ext: EventArena::new(),
+            ..GraphEvents::default()
         }
     }
 
-    /// Compressed words of one stream.
-    pub fn stream(&self, r: EventRef) -> &[u32] {
+    /// The merge list behind a list ref, if `r` is one.
+    fn list(&self, r: EventRef) -> Option<(&MergeList, &[EventRef])> {
+        if r.off & LIST_TAG != LIST_TAG {
+            return None;
+        }
+        let list = &self.lists[(r.off & !LIST_TAG) as usize];
+        Some((list, self.members_of(list)))
+    }
+
+    fn members_of(&self, list: &MergeList) -> &[EventRef] {
+        &self.members[list.start as usize..(list.start + list.len) as usize]
+    }
+
+    /// Compressed words of a stream that is not a merge list.
+    fn stream(&self, r: EventRef) -> &[u32] {
+        debug_assert!(r.off & LIST_TAG != LIST_TAG, "merge lists have no words");
         if r.off & EXT_BIT != 0 {
             let off = (r.off & !EXT_BIT) as usize;
             &self.ext.words()[off..off + r.len as usize]
@@ -63,48 +117,44 @@ impl GraphEvents {
         }
     }
 
-    /// Number of events in a stream.
+    /// Number of events in a stream or merge list.
     pub fn count(&self, r: EventRef) -> usize {
-        pg_activity::events::event_count(self.stream(r))
+        match self.list(r) {
+            Some((_, members)) => members.iter().map(|&m| self.count(m)).sum(),
+            None => pg_activity::events::event_count(self.stream(r)),
+        }
     }
 
-    /// Decodes a stream to raw `(cycle, bits)` events (tests, diagnostics).
+    /// Decodes a stream to raw `(cycle, bits)` events (tests,
+    /// diagnostics); a merge list decodes to the stable time-merge of its
+    /// members.
     pub fn decode(&self, r: EventRef) -> Vec<(u64, u32)> {
-        pg_activity::events::decode(self.stream(r))
+        match self.list(r) {
+            Some((_, members)) => {
+                let mut out = Vec::with_capacity(self.count(r));
+                for &m in members {
+                    pg_activity::events::decode_into(&mut out, self.stream(m));
+                }
+                out.sort_by_key(|e| e.0);
+                out
+            }
+            None => pg_activity::events::decode(self.stream(r)),
+        }
     }
 
-    /// Eq. 2 / Eq. 3 of one stream, folded over its compressed runs.
+    /// Eq. 2 / Eq. 3 of one stream or merge list, folded over the
+    /// compressed runs. A list is folded once; later calls reuse the
+    /// cached totals.
     pub fn sa_ar(&self, r: EventRef, latency: u64) -> (f64, f64) {
-        pg_activity::events::fold_sa_ar(self.stream(r), latency)
-    }
-
-    /// [`GraphEvents::sa_ar`] memoized per distinct stream: fan-out
-    /// attaches one op's stream to many edges as the same `(offset, len)`
-    /// ref — bit 31 of the offset disambiguates base vs extension arena,
-    /// so the pair is a sound memo key. Used by graph finalization and
-    /// the oracle netlist, which both fold every alive edge.
-    pub fn sa_ar_memo(
-        &self,
-        r: EventRef,
-        latency: u64,
-        memo: &mut BTreeMap<(u32, u32), (f64, f64)>,
-    ) -> (f64, f64) {
-        *memo
-            .entry((r.off, r.len))
-            .or_insert_with(|| self.sa_ar(r, latency))
-    }
-
-    /// Tags an extension-arena ref with [`EXT_BIT`], checking the same
-    /// 2^31-word bound `with_base` enforces for the base arena (an
-    /// overflowing offset would silently alias an earlier stream).
-    fn ext_ref(&self, off: u32, len: u32) -> EventRef {
-        assert!(
-            self.ext.words().len() < EXT_BIT as usize,
-            "extension arena exceeds the 2^31-word ref space"
-        );
-        EventRef {
-            off: off | EXT_BIT,
-            len,
+        match self.list(r) {
+            Some((list, members)) => list
+                .fold
+                .get_or_init(|| {
+                    let inputs: Vec<&[u32]> = members.iter().map(|&m| self.stream(m)).collect();
+                    merge_fold(&inputs)
+                })
+                .sa_ar(latency),
+            None => pg_activity::events::fold_sa_ar(self.stream(r), latency),
         }
     }
 
@@ -112,60 +162,72 @@ impl GraphEvents {
     /// graphs).
     pub fn push_events(&mut self, events: &[(u64, u32)]) -> EventRef {
         let r = self.ext.push_events(events);
-        self.ext_ref(r.off, r.len)
+        assert!(
+            self.ext.words().len() < TAGGED_BOUND as usize,
+            "extension arena exceeds the 2^30-word ref space"
+        );
+        EventRef {
+            off: r.off | EXT_BIT,
+            len: r.len,
+        }
     }
 
-    /// Time-merges two streams into a new extension stream (stable: ties
-    /// take `a` first), decoding through `scratch` so repeated merges
-    /// reuse one pool of buffers. The merged stream is encoded as delta
-    /// runs directly into the extension arena. Both streams must be
-    /// non-empty (merging with an empty stream is the identity — keep the
-    /// other ref instead, as `fuse_parallel_edges` does).
-    pub fn merge(&mut self, a: EventRef, b: EventRef, scratch: &mut MergeScratch) -> EventRef {
-        self.merge_many(&[a, b], scratch)
-    }
-
-    /// K-way time-merge (stable: equal cycles take the earliest stream in
-    /// `refs` first — bit-identical to a left-fold of pairwise merges, but
-    /// each input is read exactly once). Every stream must be non-empty:
-    /// empty members would be identity elements, so callers filter them
-    /// out and keep the surviving ref when fewer than two remain.
-    pub fn merge_many(&mut self, refs: &[EventRef], scratch: &mut MergeScratch) -> EventRef {
-        use pg_activity::events::{merge_streams_k, MERGE_FAN_IN};
+    /// K-way time-merge by reference (stable: equal cycles take the
+    /// earliest stream in `refs` first — a left fold of pairwise merges).
+    /// Records the members as a merge list, flattening members that are
+    /// lists themselves, and returns the existing list when the same
+    /// members were merged before; nothing is decoded or folded here. Every
+    /// stream must be non-empty: empty members would be identity
+    /// elements, so callers filter them out and keep the surviving ref
+    /// when fewer than two remain.
+    pub fn merge_many(&mut self, refs: &[EventRef]) -> EventRef {
         assert!(
             refs.len() >= 2 && refs.iter().all(|r| !r.is_empty()),
             "merge_many requires >= 2 non-empty streams"
         );
-        if refs.len() <= MERGE_FAN_IN {
-            // Compressed-domain fast path: merge the run encodings
-            // directly, staged through the scratch because the output
-            // arena may also be an input.
-            let mut tmp = std::mem::take(&mut scratch.words_tmp);
-            tmp.clear();
-            {
-                let mut inputs: [&[u32]; MERGE_FAN_IN] = [&[]; MERGE_FAN_IN];
-                for (i, &r) in refs.iter().enumerate() {
-                    inputs[i] = self.stream(r);
-                }
-                merge_streams_k(&mut tmp, &inputs[..refs.len()]);
-            }
-            let out = self.ext.words_mut();
-            let off = out.len() as u32;
-            out.extend_from_slice(&tmp);
-            let len = tmp.len() as u32;
-            scratch.words_tmp = tmp;
-            return self.ext_ref(off, len);
-        }
-        // Wide groups: decode all inputs first (immutable borrows end),
-        // then append the interleave to the extension arena.
-        scratch.begin();
+        let start = self.members.len();
         for &r in refs {
-            scratch.add(self.stream(r));
+            if r.off & LIST_TAG == LIST_TAG {
+                let from = self.lists[(r.off & !LIST_TAG) as usize].start as usize;
+                self.members.extend_from_within(from..from + r.len as usize);
+            } else {
+                self.members.push(r);
+            }
         }
-        let out = self.ext.words_mut();
-        let off = out.len() as u32;
-        let r = scratch.encode_merged(out);
-        self.ext_ref(off, r.len)
+        assert!(
+            self.lists.len() < TAGGED_BOUND as usize && self.members.len() <= u32::MAX as usize,
+            "merge lists exceed the 2^30-entry ref space"
+        );
+        let list = MergeList {
+            start: start as u32,
+            len: (self.members.len() - start) as u32,
+            fold: OnceLock::new(),
+        };
+        let key = self.members[start..]
+            .iter()
+            .fold(0, |h, m| mix64(&[h, (m.off as u64) << 32 | m.len as u64]));
+        let id = match self.interned.get(&key) {
+            Some(&id) if self.members_of(&self.lists[id as usize]) == &self.members[start..] => {
+                self.members.truncate(start);
+                id
+            }
+            // A hash collision keeps the first list interned.
+            Some(_) => self.push_list(list),
+            None => {
+                let id = self.push_list(list);
+                self.interned.insert(key, id);
+                id
+            }
+        };
+        EventRef {
+            off: id | LIST_TAG,
+            len: self.lists[id as usize].len,
+        }
+    }
+
+    fn push_list(&mut self, list: MergeList) -> u32 {
+        self.lists.push(list);
+        (self.lists.len() - 1) as u32
     }
 }
 
@@ -353,11 +415,13 @@ impl WorkGraph {
     /// Fuses parallel edges (same `(src, dst)`) by time-merging their event
     /// sequences. Called after passes that re-point edges.
     ///
-    /// Each group of parallel edges is merged **k-way in one pass** —
-    /// bit-identical to folding pairwise merges left-to-right in edge
-    /// order (cycle ties keep the earlier edge's events first), but every
-    /// stream is decoded once instead of the accumulating stream being
-    /// re-decoded per pair.
+    /// Each group of parallel edges becomes one merge list per side
+    /// (see [`GraphEvents::merge_many`]) — equal to folding pairwise
+    /// merges left-to-right in edge order (cycle ties keep the earlier
+    /// edge's events first), without decoding anything. When every member
+    /// carries the same stream on both sides, the sink side merges the
+    /// same members and so gets the source side's list back: it is folded
+    /// once.
     pub fn fuse_parallel_edges(&mut self) {
         let _t = pg_util::metrics::stage("graph.fuse");
         // Group alive parallel edges by endpoint pair, preserving edge
@@ -378,7 +442,6 @@ impl WorkGraph {
                 }
             }
         }
-        let mut scratch = MergeScratch::default();
         let mut streams: Vec<EventRef> = Vec::new();
         for (keep, drops) in &groups {
             if drops.is_empty() {
@@ -390,7 +453,6 @@ impl WorkGraph {
                 *keep,
                 drops,
                 |e| e.src_ev,
-                &mut scratch,
                 &mut streams,
             );
             let snk_ev = fuse_group_side(
@@ -399,7 +461,6 @@ impl WorkGraph {
                 *keep,
                 drops,
                 |e| e.snk_ev,
-                &mut scratch,
                 &mut streams,
             );
             let k = &mut self.edges[*keep];
@@ -438,7 +499,6 @@ fn fuse_group_side(
     keep: usize,
     drops: &[usize],
     side: fn(&WorkEdge) -> EventRef,
-    scratch: &mut MergeScratch,
     streams: &mut Vec<EventRef>,
 ) -> EventRef {
     streams.clear();
@@ -453,7 +513,7 @@ fn fuse_group_side(
             .expect("one non-empty stream"),
         _ => {
             streams.retain(|r| !r.is_empty());
-            events.merge_many(streams, scratch)
+            events.merge_many(streams)
         }
     }
 }
@@ -667,6 +727,85 @@ mod tests {
         let e = *g.edges.iter().find(|e| e.alive).unwrap();
         assert_eq!(e.src_ev, ev, "non-empty side must be reused verbatim");
         assert_eq!(e.snk_ev, ev);
+    }
+
+    fn parallel_edge(
+        g: &mut WorkGraph,
+        src: usize,
+        dst: usize,
+        src_ev: EventRef,
+        snk_ev: EventRef,
+    ) {
+        g.add_edge(WorkEdge {
+            src,
+            dst,
+            src_ev,
+            snk_ev,
+            alive: true,
+        });
+    }
+
+    #[test]
+    fn fusing_a_fused_edge_again_flattens_into_one_list() {
+        use pg_activity::sa::{merge_events, sa_ar};
+        let mut g = WorkGraph {
+            latency: 50,
+            ..WorkGraph::default()
+        };
+        let a = g.add_node(mk_node(NodeKind::Op(Opcode::Load)));
+        let b = g.add_node(mk_node(NodeKind::Op(Opcode::FAdd)));
+        // Cycle ties across members, a const stretch and a single event.
+        let raw: [Vec<(u64, u32)>; 4] = [
+            vec![(0, 1), (2, 5), (4, 5), (6, 1)],
+            vec![(2, 9), (3, 9), (4, 9), (5, 9), (6, 9)],
+            vec![(4, 7)],
+            vec![(1, 3), (4, 2), (8, 6)],
+        ];
+        let refs: Vec<EventRef> = raw.iter().map(|r| g.add_events(r)).collect();
+        parallel_edge(&mut g, a, b, refs[0], refs[0]);
+        parallel_edge(&mut g, a, b, refs[1], refs[1]);
+        g.fuse_parallel_edges();
+        let fused = g.edges.iter().position(|e| e.alive).unwrap();
+        assert_eq!(
+            g.edges[fused].src_ev, g.edges[fused].snk_ev,
+            "same-sided group"
+        );
+        // Fuse the fused edge again with two more parallel edges.
+        parallel_edge(&mut g, a, b, refs[2], refs[2]);
+        parallel_edge(&mut g, a, b, refs[3], refs[3]);
+        g.fuse_parallel_edges();
+        assert_eq!(g.num_edges(), 1);
+        let e = *g.edges.iter().find(|e| e.alive).unwrap();
+        assert_eq!(e.src_ev, e.snk_ev, "same-sided group");
+        assert_eq!(e.src_ev.len, 4, "nested list flattened to its members");
+        let flat = raw[1..]
+            .iter()
+            .fold(raw[0].clone(), |acc, r| merge_events(&acc, r));
+        assert_eq!(g.events.decode(e.src_ev), flat);
+        assert_eq!(g.events.count(e.src_ev), flat.len());
+        for latency in [1, 50] {
+            assert_eq!(g.events.sa_ar(e.src_ev, latency), sa_ar(&flat, latency));
+        }
+    }
+
+    #[test]
+    fn two_sided_groups_fuse_each_side() {
+        let mut g = WorkGraph::default();
+        let a = g.add_node(mk_node(NodeKind::Op(Opcode::Load)));
+        let b = g.add_node(mk_node(NodeKind::Op(Opcode::FAdd)));
+        let s1 = g.add_events(&[(0, 1), (4, 2)]);
+        let s2 = g.add_events(&[(2, 3)]);
+        let k2 = g.add_events(&[(3, 8), (5, 8)]);
+        parallel_edge(&mut g, a, b, s1, s1);
+        parallel_edge(&mut g, a, b, s2, k2);
+        g.fuse_parallel_edges();
+        let e = *g.edges.iter().find(|e| e.alive).unwrap();
+        assert_ne!(e.src_ev, e.snk_ev);
+        assert_eq!(g.events.decode(e.src_ev), vec![(0, 1), (2, 3), (4, 2)]);
+        assert_eq!(
+            g.events.decode(e.snk_ev),
+            vec![(0, 1), (3, 8), (4, 2), (5, 8)]
+        );
     }
 
     #[test]

@@ -181,16 +181,14 @@ pub fn build_netlist_from_graph(design: &HlsDesign, g: &WorkGraph) -> Netlist {
 
     let mut nets = Vec::new();
     // Datapath nets from graph edges; SA/AR folded straight over the
-    // compressed runs (bit-identical to the slice math of Eq. 2/3), each
-    // distinct stream folded once (fan-out shares refs across edges).
-    let mut fold_memo: std::collections::BTreeMap<(u32, u32), (f64, f64)> =
-        std::collections::BTreeMap::new();
+    // compressed runs (bit-identical to the slice math of Eq. 2/3). A
+    // merge list folds once per graph, shared with graph finalization.
     for e in g.edges.iter().filter(|e| e.alive) {
         let (s, d) = (node_to_comp[e.src], node_to_comp[e.dst]);
         if s == usize::MAX || d == usize::MAX {
             continue;
         }
-        let (sa, ar) = g.events.sa_ar_memo(e.src_ev, g.latency, &mut fold_memo);
+        let (sa, ar) = g.events.sa_ar(e.src_ev, g.latency);
         nets.push(Net {
             src: s,
             dst: d,

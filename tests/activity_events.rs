@@ -11,20 +11,22 @@
 //!   bit-identical (`f64::to_bits`) to the naive slice math of Eq. 2/3
 //!   over the decoded events, as is the raw-column fold the interpreter
 //!   uses before encoding;
-//! * **merge parity** — the k-way compressed-domain merge (aligned-lane,
-//!   time-disjoint concat and cursor paths) decodes to exactly the naive
-//!   `merge_events` left fold;
+//! * **merge-fold parity** — folding the time-merge of any number of
+//!   streams without materializing it (`merge_fold`: aligned-lane,
+//!   time-disjoint and cursor paths) is bit-identical to Eq. 2/3 over the
+//!   naive `merge_events` left fold of the decoded members, for fan-in
+//!   2..=40, cycle ties across members, const runs and length-1 streams;
 //! * **SA/AR invariants** — `AR <= SA <= 32·AR` (every change toggles
 //!   1..=32 bits), and constant streams fold to exactly zero.
 
 use proptest::prelude::*;
 
 use powergear_repro::activity::events::{
-    decode, encode_affine, event_count, fold_sa_ar, merge_encoded, merge_streams_k, EventArena,
-    MergeScratch,
+    decode, encode_affine, event_count, fold_sa_ar, merge_fold, EventArena,
 };
 use powergear_repro::activity::sa::{merge_events, sa_ar, sa_ar_values};
 use powergear_repro::activity::{activation_rate, switching_activity};
+use powergear_repro::util::rng::Rng64;
 
 /// Builds a cycle-sorted event sequence from per-event deltas and values.
 fn events_from(deltas: &[u32], values: &[u32], start: u64) -> Vec<(u64, u32)> {
@@ -53,6 +55,68 @@ fn arb_values(len: usize) -> impl Strategy<Value = Vec<u32>> {
                 .map(|(&v, &m)| if m { v % 3 } else { v })
                 .collect()
         })
+}
+
+/// `count` values that are incompressible, on a 3-value alphabet, one
+/// constant (a single const run), or constant stretches of random length
+/// (const runs that end at different events in different streams).
+fn member_values(rng: &mut Rng64, count: usize) -> Vec<u32> {
+    match rng.below(4) {
+        0 => (0..count).map(|_| rng.next_u64() as u32).collect(),
+        1 => (0..count).map(|_| rng.below(3) as u32).collect(),
+        2 => vec![rng.next_u64() as u32; count],
+        _ => {
+            let mut vals = Vec::with_capacity(count);
+            while vals.len() < count {
+                let v = rng.next_u64() as u32;
+                let n = (1 + rng.below(12)).min(count - vals.len());
+                vals.extend(std::iter::repeat_n(v, n));
+            }
+            vals
+        }
+    }
+}
+
+/// `k` sorted event streams for a merge, shaped by `mode`:
+/// 0 — aligned lanes of one block (one stride and count, start spread
+///     below the stride, equal starts tie);
+/// 1 — blocks in disjoint cycle windows, several members per block;
+/// 2 — irregular streams with small cycle deltas that tie across members;
+/// 3 — a mix of all of the above plus length-1 streams.
+fn arb_members(k: usize, mode: usize, seed: u64) -> Vec<Vec<(u64, u32)>> {
+    let mut rng = Rng64::new(seed);
+    let stride = 2 + rng.below(30) as u64;
+    let count = 1 + rng.below(30);
+    let aligned = |rng: &mut Rng64, base: u64| -> Vec<(u64, u32)> {
+        let phase = base + rng.below(stride.min(4) as usize) as u64;
+        let vals = member_values(rng, count);
+        (0..count)
+            .map(|i| (phase + i as u64 * stride, vals[i]))
+            .collect()
+    };
+    let irregular = |rng: &mut Rng64, base: u64| -> Vec<(u64, u32)> {
+        let n = 1 + rng.below(40);
+        let vals = member_values(rng, n);
+        let mut c = base + rng.below(8) as u64;
+        vals.into_iter()
+            .map(|v| {
+                c += rng.below(5) as u64;
+                (c, v)
+            })
+            .collect()
+    };
+    (0..k)
+        .map(|_| {
+            let block = 1_000_000 * rng.below(k.min(6)) as u64;
+            let shape = if mode == 3 { rng.below(4) } else { mode };
+            match shape {
+                0 => aligned(&mut rng, 0),
+                1 => irregular(&mut rng, block),
+                2 => irregular(&mut rng, 0),
+                _ => vec![(rng.below(40) as u64, rng.next_u64() as u32)],
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -120,8 +184,7 @@ proptest! {
         prop_assert_eq!(ar_v.to_bits(), ar_n.to_bits());
     }
 
-    /// Two-stream merges decode to exactly `merge_events`, and their folds
-    /// stay bit-identical to folding the naive merge.
+    /// Two-stream merge folds equal Eq. 2/3 over `merge_events`.
     #[test]
     fn merge_parity_two_streams(
         da in prop::collection::vec(0u32..7, 1..60),
@@ -137,56 +200,46 @@ proptest! {
         let mut arena = EventArena::new();
         let ra = arena.push_events(&a);
         let rb = arena.push_events(&b);
-        let mut out = Vec::new();
-        let rm = merge_encoded(
-            &mut out,
-            arena.stream(ra),
-            arena.stream(rb),
-            &mut MergeScratch::default(),
-        );
-        let stream = &out[rm.off as usize..(rm.off + rm.len) as usize];
+        let fold = merge_fold(&[arena.stream(ra), arena.stream(rb)]);
         let naive = merge_events(&a, &b);
-        prop_assert_eq!(decode(stream), naive.clone());
-        let (sa_c, ar_c) = fold_sa_ar(stream, latency);
-        let (sa_n, ar_n) = sa_ar(&naive, latency);
-        prop_assert_eq!(sa_c.to_bits(), sa_n.to_bits());
-        prop_assert_eq!(ar_c.to_bits(), ar_n.to_bits());
+        for l in [1, latency] {
+            let (sa_c, ar_c) = fold.sa_ar(l);
+            let (sa_n, ar_n) = sa_ar(&naive, l);
+            prop_assert_eq!(sa_c.to_bits(), sa_n.to_bits());
+            prop_assert_eq!(ar_c.to_bits(), ar_n.to_bits());
+        }
     }
 
-    /// K-way merges (aligned lanes, disjoint blocks, and irregular mixes)
-    /// decode to the left fold of pairwise `merge_events` — the exact
-    /// semantics `fuse_parallel_edges` replaced.
+    /// K-way merge folds of any fan-in (aligned lanes, time-disjoint
+    /// blocks, irregular mixes with cycle ties, const runs and length-1
+    /// streams) equal Eq. 2/3 over the left fold of pairwise
+    /// `merge_events` of the decoded members — the semantics of fusing
+    /// parallel edges one pair at a time. At latency 1 the folds are the
+    /// raw Hamming and change totals, so those match exactly too.
     #[test]
     fn merge_parity_k_way(
-        k in 2usize..6,
-        lane_values in prop::collection::vec(arb_values(40), 6),
-        count in 2usize..40,
-        stride in 2u32..40,
-        phases in prop::collection::vec(0u32..200, 6),
-        block_gap in prop::sample::select(vec![0u64, 1, 100_000]),
+        k in 2usize..41,
+        seed in any::<u64>(),
+        mode in 0usize..4,
+        latency in 1u64..500,
     ) {
-        // Lane j is an affine stream; phases may align (same block) or
-        // spread lanes into disjoint windows (different blocks).
-        let lanes: Vec<Vec<(u64, u32)>> = (0..k)
-            .map(|j| {
-                let base = phases[j] as u64 + j as u64 * block_gap;
-                (0..count)
-                    .map(|i| (base + i as u64 * stride as u64, lane_values[j][i]))
-                    .collect()
-            })
-            .collect();
+        let members = arb_members(k, mode, seed);
         let mut arena = EventArena::new();
-        let refs: Vec<_> = lanes.iter().map(|l| arena.push_events(l)).collect();
+        let refs: Vec<_> = members.iter().map(|m| arena.push_events(m)).collect();
         let inputs: Vec<&[u32]> = refs.iter().map(|&r| arena.stream(r)).collect();
-        let mut out = Vec::new();
-        let rm = merge_streams_k(&mut out, &inputs);
-        let stream = &out[rm.off as usize..(rm.off + rm.len) as usize];
-        // Naive left fold, as the old pairwise fuse computed it.
-        let mut naive = lanes[0].clone();
-        for lane in &lanes[1..] {
-            naive = merge_events(&naive, lane);
+        let fold = merge_fold(&inputs);
+        let mut naive = arena.decode(refs[0]);
+        for &r in &refs[1..] {
+            naive = merge_events(&naive, &arena.decode(r));
         }
-        prop_assert_eq!(decode(stream), naive);
+        for l in [1, latency] {
+            let (sa_c, ar_c) = fold.sa_ar(l);
+            let (sa_n, ar_n) = sa_ar(&naive, l);
+            prop_assert_eq!(sa_c.to_bits(), sa_n.to_bits(), "k={} mode={}", k, mode);
+            prop_assert_eq!(ar_c.to_bits(), ar_n.to_bits(), "k={} mode={}", k, mode);
+        }
+        // One input is the plain stream fold.
+        prop_assert_eq!(merge_fold(&inputs[..1]).sa_ar(latency), fold_sa_ar(inputs[0], latency));
     }
 
     /// Eq. 2/3 invariants on compressed folds: every change toggles
